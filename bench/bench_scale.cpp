@@ -161,9 +161,11 @@ void run_and_print() {
     for (const Tier& tier : kTiers) {
         const auto wall_start = std::chrono::steady_clock::now();
         ScaleResult result;
+        // ScopedTimer keeps the raw name pointer on its scope stack, so the
+        // name must outlive the scope: a temporary's c_str() would dangle.
+        const std::string timer_name = tier_timer_name(tier.platoons);
         {
-            const platoon::obs::ScopedTimer timer(
-                tier_timer_name(tier.platoons).c_str());
+            const platoon::obs::ScopedTimer timer(timer_name.c_str());
             result = run_tier(clean, tier);
         }
         const double wall_s =

@@ -18,20 +18,23 @@ Aggregate aggregate_runs(const std::vector<MetricMap>& runs) {
     Aggregate agg;
     agg.runs = runs.size();
     if (runs.empty()) return agg;
-    MetricMap sum, sum_sq;
+    const double n = static_cast<double>(agg.runs);
+    MetricMap sum;
+    for (const MetricMap& result : runs)
+        for (const auto& [name, value] : result) sum[name] += value;
+    for (const auto& [name, total] : sum) agg.mean[name] = total / n;
+    // Second pass about the mean, in run order: sum_sq/n - mean^2 cancels
+    // catastrophically when the spread is small against the mean.
+    MetricMap squared_deviation;
     for (const MetricMap& result : runs) {
-        for (const auto& [name, value] : result) {
-            sum[name] += value;
-            sum_sq[name] += value * value;
+        for (const auto& [name, mean] : agg.mean) {
+            const auto it = result.find(name);
+            const double d = (it == result.end() ? 0.0 : it->second) - mean;
+            squared_deviation[name] += d * d;
         }
     }
-    for (const auto& [name, total] : sum) {
-        const double mean = total / static_cast<double>(agg.runs);
-        agg.mean[name] = mean;
-        const double var =
-            sum_sq[name] / static_cast<double>(agg.runs) - mean * mean;
-        agg.stddev[name] = std::sqrt(std::max(0.0, var));
-    }
+    for (const auto& [name, total] : squared_deviation)
+        agg.stddev[name] = std::sqrt(total / n);
     return agg;
 }
 

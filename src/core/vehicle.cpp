@@ -68,8 +68,8 @@ PlatoonVehicle::PlatoonVehicle(VehicleConfig config, sim::Scheduler& scheduler,
 
 std::uint32_t PlatoonVehicle::wire_id() const { return wire_id_; }
 
-void PlatoonVehicle::provision_group_key(crypto::Bytes key) {
-    protection_.set_group_key(std::move(key));
+void PlatoonVehicle::provision_group_key(crypto::BytesView key) {
+    protection_.set_group_key(key);
 }
 
 void PlatoonVehicle::provision_credential(crypto::Credential long_term,
@@ -84,8 +84,9 @@ void PlatoonVehicle::set_ca_public_key(crypto::Bytes ca_pub) {
     protection_.set_ca_public_key(std::move(ca_pub));
 }
 
-void PlatoonVehicle::set_pairwise_key(std::uint32_t peer, crypto::Bytes key) {
-    protection_.set_pairwise_key(peer, std::move(key));
+void PlatoonVehicle::set_pairwise_key(std::uint32_t peer,
+                                      crypto::BytesView key) {
+    protection_.set_pairwise_key(peer, key);
 }
 
 void PlatoonVehicle::set_verdict_cache(crypto::VerdictCache* cache) {

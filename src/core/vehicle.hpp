@@ -72,11 +72,11 @@ public:
     void stop();
 
     /// --- provisioning (scenario setup) -------------------------------------
-    void provision_group_key(crypto::Bytes key);
+    void provision_group_key(crypto::BytesView key);
     void provision_credential(crypto::Credential long_term,
                               crypto::PseudonymPool pseudonyms);
     void set_ca_public_key(crypto::Bytes ca_pub);
-    void set_pairwise_key(std::uint32_t peer, crypto::Bytes key);
+    void set_pairwise_key(std::uint32_t peer, crypto::BytesView key);
     /// Scenario-shared cache of receiver-independent verification facts
     /// (see crypto::VerdictCache); non-owning, may be null.
     void set_verdict_cache(crypto::VerdictCache* cache);

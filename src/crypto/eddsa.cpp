@@ -48,48 +48,28 @@ Fe fe_canonical(const Fe& a) {
     return f;
 }
 
-/// a^e where e is a 32-byte little-endian exponent.
-Fe fe_pow(const Fe& a, const std::array<std::uint8_t, 32>& e) {
-    Fe result = Fe::one();
-    bool started = false;
-    for (int i = 255; i >= 0; --i) {
-        if (started) result = fe_sq(result);
-        const bool bit =
-            (e[static_cast<std::size_t>(i) / 8] >> (i % 8)) & 1;
-        if (bit) {
-            result = started ? fe_mul(result, a) : a;
-            started = true;
-        }
-    }
-    return started ? result : Fe::one();
-}
-
-std::array<std::uint8_t, 32> exponent_p_minus_2() {
-    std::array<std::uint8_t, 32> e;
-    e.fill(0xFF);
-    e[0] = 0xEB;  // p - 2 = 2^255 - 21
-    e[31] = 0x7F;
+/// (p + 3) / 8 = 2^252 - 2, the square-root exponent.
+constexpr U256 kExpSqrt = [] {
+    U256 e;
+    e.w = {0xFFFFFFFFFFFFFFFEull, ~0ull, ~0ull, 0x0FFFFFFFFFFFFFFFull};
     return e;
-}
+}();
 
-std::array<std::uint8_t, 32> exponent_p_plus_3_over_8() {
-    std::array<std::uint8_t, 32> e;  // 2^252 - 2
-    e.fill(0xFF);
-    e[0] = 0xFE;
-    e[31] = 0x0F;
+/// (p - 1) / 4 = 2^253 - 5: 2 raised to it is a square root of -1.
+constexpr U256 kExpSqrtMinusOne = [] {
+    U256 e;
+    e.w = {0xFFFFFFFFFFFFFFFBull, ~0ull, ~0ull, 0x1FFFFFFFFFFFFFFFull};
     return e;
-}
+}();
 
-std::array<std::uint8_t, 32> exponent_p_minus_1_over_4() {
-    std::array<std::uint8_t, 32> e;  // 2^253 - 5
-    e.fill(0xFF);
-    e[0] = 0xFB;
-    e[31] = 0x1F;
-    return e;
+/// a^(2^n): n successive squarings.
+Fe fe_sq_times(Fe a, int n) {
+    for (int i = 0; i < n; ++i) a = fe_sq(a);
+    return a;
 }
 
 const Fe& sqrt_minus_one() {
-    static const Fe s = fe_pow(Fe::from_u64(2), exponent_p_minus_1_over_4());
+    static const Fe s = fe_pow(Fe::from_u64(2), kExpSqrtMinusOne);
     return s;
 }
 
@@ -131,21 +111,11 @@ Fe fe_sub(const Fe& a, const Fe& b) {
 
 Fe fe_neg(const Fe& a) { return fe_sub(Fe::zero(), a); }
 
-Fe fe_mul(const Fe& f, const Fe& g) {
-    const u128 f0 = f.limb[0], f1 = f.limb[1], f2 = f.limb[2],
-               f3 = f.limb[3], f4 = f.limb[4];
-    const std::uint64_t g0 = g.limb[0], g1 = g.limb[1], g2 = g.limb[2],
-                        g3 = g.limb[3], g4 = g.limb[4];
-    const std::uint64_t g1_19 = 19 * g1, g2_19 = 19 * g2, g3_19 = 19 * g3,
-                        g4_19 = 19 * g4;
+namespace {
 
-    u128 r0 = f0 * g0 + f1 * g4_19 + f2 * g3_19 + f3 * g2_19 + f4 * g1_19;
-    u128 r1 = f0 * g1 + f1 * g0 + f2 * g4_19 + f3 * g3_19 + f4 * g2_19;
-    u128 r2 = f0 * g2 + f1 * g1 + f2 * g0 + f3 * g4_19 + f4 * g3_19;
-    u128 r3 = f0 * g3 + f1 * g2 + f2 * g1 + f3 * g0 + f4 * g4_19;
-    u128 r4 = f0 * g4 + f1 * g3 + f2 * g2 + f3 * g1 + f4 * g0;
-
-    Fe out;
+/// Carries five wide limb sums into 51-bit limbs, folding the top carry
+/// back with the factor 19 (2^255 = 19 mod p): the tail of fe_mul/fe_sq.
+Fe carry_wide(u128 r0, u128 r1, u128 r2, u128 r3, u128 r4) {
     u128 c;
     c = r0 >> 51; r0 &= kMask; r1 += c;
     c = r1 >> 51; r1 &= kMask; r2 += c;
@@ -154,6 +124,7 @@ Fe fe_mul(const Fe& f, const Fe& g) {
     c = r4 >> 51; r4 &= kMask; r0 += 19 * c;
     c = r0 >> 51; r0 &= kMask; r1 += c;
 
+    Fe out;
     out.limb[0] = static_cast<std::uint64_t>(r0);
     out.limb[1] = static_cast<std::uint64_t>(r1);
     out.limb[2] = static_cast<std::uint64_t>(r2);
@@ -162,16 +133,74 @@ Fe fe_mul(const Fe& f, const Fe& g) {
     return out;
 }
 
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
+}  // namespace
 
-Fe fe_inv(const Fe& a) {
-    PLATOON_EXPECTS(!fe_is_zero(a));
-    return fe_pow(a, exponent_p_minus_2());
+Fe fe_mul(const Fe& f, const Fe& g) {
+    const u128 f0 = f.limb[0], f1 = f.limb[1], f2 = f.limb[2],
+               f3 = f.limb[3], f4 = f.limb[4];
+    const std::uint64_t g0 = g.limb[0], g1 = g.limb[1], g2 = g.limb[2],
+                        g3 = g.limb[3], g4 = g.limb[4];
+    const std::uint64_t g1_19 = 19 * g1, g2_19 = 19 * g2, g3_19 = 19 * g3,
+                        g4_19 = 19 * g4;
+
+    return carry_wide(
+        f0 * g0 + f1 * g4_19 + f2 * g3_19 + f3 * g2_19 + f4 * g1_19,
+        f0 * g1 + f1 * g0 + f2 * g4_19 + f3 * g3_19 + f4 * g2_19,
+        f0 * g2 + f1 * g1 + f2 * g0 + f3 * g4_19 + f4 * g3_19,
+        f0 * g3 + f1 * g2 + f2 * g1 + f3 * g0 + f4 * g4_19,
+        f0 * g4 + f1 * g3 + f2 * g2 + f3 * g1 + f4 * g0);
+}
+
+Fe fe_sq(const Fe& f) {
+    // fe_mul(f, f) with the symmetric products folded: each sum is the
+    // same integer, so carry_wide yields the same limbs.
+    const u128 f0 = f.limb[0], f1 = f.limb[1], f2 = f.limb[2],
+               f3 = f.limb[3], f4 = f.limb[4];
+    const std::uint64_t f0_2 = 2 * f.limb[0], f1_2 = 2 * f.limb[1],
+                        f1_38 = 38 * f.limb[1], f2_38 = 38 * f.limb[2],
+                        f3_38 = 38 * f.limb[3], f3_19 = 19 * f.limb[3],
+                        f4_19 = 19 * f.limb[4];
+
+    return carry_wide(f0 * f0 + f1_38 * f4 + f2_38 * f3,
+                      f0_2 * f1 + f2_38 * f4 + f3_19 * f3,
+                      f0_2 * f2 + f1 * f1 + f3_38 * f4,
+                      f0_2 * f3 + f1_2 * f2 + f4_19 * f4,
+                      f0_2 * f4 + f1_2 * f3 + f2 * f2);
+}
+
+Fe fe_pow(const Fe& a, const U256& e) {
+    Fe result = Fe::one();
+    bool started = false;
+    for (int i = e.top_bit(); i >= 0; --i) {
+        if (started) result = fe_sq(result);
+        if (e.bit(i)) {
+            result = started ? fe_mul(result, a) : a;
+            started = true;
+        }
+    }
+    return result;
+}
+
+Fe fe_inv(const Fe& z) {
+    PLATOON_EXPECTS(!fe_is_zero(z));
+    // ref10 fe_invert: z^(p-2) = z^(2^255 - 21). Comments give exponents.
+    const Fe z2 = fe_sq(z);                                   // 2
+    const Fe z9 = fe_mul(fe_sq_times(z2, 2), z);              // 9
+    const Fe z11 = fe_mul(z9, z2);                            // 11
+    const Fe z_5_0 = fe_mul(fe_sq(z11), z9);                  // 2^5 - 1
+    const Fe z_10_0 = fe_mul(fe_sq_times(z_5_0, 5), z_5_0);   // 2^10 - 1
+    const Fe z_20_0 = fe_mul(fe_sq_times(z_10_0, 10), z_10_0);
+    const Fe z_40_0 = fe_mul(fe_sq_times(z_20_0, 20), z_20_0);
+    const Fe z_50_0 = fe_mul(fe_sq_times(z_40_0, 10), z_10_0);
+    const Fe z_100_0 = fe_mul(fe_sq_times(z_50_0, 50), z_50_0);
+    const Fe z_200_0 = fe_mul(fe_sq_times(z_100_0, 100), z_100_0);
+    const Fe z_250_0 = fe_mul(fe_sq_times(z_200_0, 50), z_50_0);
+    return fe_mul(fe_sq_times(z_250_0, 5), z11);  // 2^255 - 32 + 11
 }
 
 std::optional<Fe> fe_sqrt(const Fe& a) {
     if (fe_is_zero(a)) return Fe::zero();
-    Fe candidate = fe_pow(a, exponent_p_plus_3_over_8());
+    Fe candidate = fe_pow(a, kExpSqrt);
     if (fe_equal(fe_sq(candidate), a)) return candidate;
     candidate = fe_mul(candidate, sqrt_minus_one());
     if (fe_equal(fe_sq(candidate), a)) return candidate;
@@ -225,36 +254,105 @@ Fe fe_from_bytes(BytesView b) {
 }
 
 bool fe_equal(const Fe& a, const Fe& b) {
-    return fe_to_bytes(a) == fe_to_bytes(b);
+    return fe_canonical(a).limb == fe_canonical(b).limb;
 }
 
-bool fe_is_zero(const Fe& a) { return fe_equal(a, Fe::zero()); }
+bool fe_is_zero(const Fe& a) { return fe_canonical(a).limb == Fe::zero().limb; }
 
 Point Point::identity() {
     return Point{Fe::zero(), Fe::one(), Fe::one(), Fe::zero()};
 }
 
+namespace {
+
+/// A point in ref10's cached form (ge_cached): adding it to an extended
+/// point takes 8 multiplies instead of 9, because 2d*T is stored.
+struct CachedPoint {
+    Fe y_plus_x, y_minus_x, z2, t2d;  ///< (Y+X, Y-X, 2Z, 2d*T)
+};
+
+/// The affine variant (ge_precomp, Z = 1): one multiply fewer again, 7.
+struct AffineCachedPoint {
+    Fe y_plus_x, y_minus_x, xy2d;  ///< (y+x, y-x, 2d*x*y)
+};
+
+/// (X : Y : Z) without T (ge_p2): all a doubling reads.
+struct ProjectivePoint {
+    Fe x, y, z;
+};
+
+/// A sum or double before its final multiplies (ge_p1p1): the point is
+/// (E*F : G*H : F*G) with T = E*H.
+struct CompletedPoint {
+    Fe e, f, g, h;
+};
+
+CachedPoint to_cached(const Point& p) {
+    return CachedPoint{fe_add(p.y, p.x), fe_sub(p.y, p.x), fe_add(p.z, p.z),
+                       fe_mul(p.t, curve_2d())};
+}
+
+/// Extended coordinates: 4 multiplies. Use when an addition follows.
+Point to_extended(const CompletedPoint& c) {
+    return Point{fe_mul(c.e, c.f), fe_mul(c.g, c.h), fe_mul(c.f, c.g),
+                 fe_mul(c.e, c.h)};
+}
+
+/// Projective coordinates: 3 multiplies. Use when a doubling follows.
+ProjectivePoint to_projective(const CompletedPoint& c) {
+    return ProjectivePoint{fe_mul(c.e, c.f), fe_mul(c.g, c.h),
+                           fe_mul(c.f, c.g)};
+}
+
+/// p + q (RFC 8032 "add-2008-hwcd-3"; complete on edwards25519).
+CompletedPoint add_cached(const Point& p, const CachedPoint& q) {
+    const Fe a = fe_mul(fe_sub(p.y, p.x), q.y_minus_x);
+    const Fe b = fe_mul(fe_add(p.y, p.x), q.y_plus_x);
+    const Fe c = fe_mul(p.t, q.t2d);
+    const Fe d = fe_mul(p.z, q.z2);
+    return CompletedPoint{fe_sub(b, a), fe_sub(d, c), fe_add(d, c),
+                          fe_add(b, a)};
+}
+
+/// p + q for an affine q: D = 2*Z1 needs no multiply.
+CompletedPoint add_affine(const Point& p, const AffineCachedPoint& q) {
+    const Fe a = fe_mul(fe_sub(p.y, p.x), q.y_minus_x);
+    const Fe b = fe_mul(fe_add(p.y, p.x), q.y_plus_x);
+    const Fe c = fe_mul(p.t, q.xy2d);
+    const Fe d = fe_add(p.z, p.z);
+    return CompletedPoint{fe_sub(b, a), fe_sub(d, c), fe_add(d, c),
+                          fe_add(b, a)};
+}
+
+/// 2p ("dbl-2008-hwcd", a = -1, signs folded); reads X, Y, Z only.
+CompletedPoint double_completed(const Fe& x, const Fe& y, const Fe& z) {
+    const Fe a = fe_sq(x);
+    const Fe b = fe_sq(y);
+    const Fe zz = fe_sq(z);
+    const Fe c = fe_add(zz, zz);
+    const Fe h = fe_add(a, b);
+    const Fe e = fe_sub(h, fe_sq(fe_add(x, y)));
+    const Fe g = fe_sub(a, b);
+    const Fe f = fe_add(c, g);
+    return CompletedPoint{e, f, g, h};
+}
+
+/// 16p: four doublings, of which only the last computes T.
+Point double4(const Point& p) {
+    ProjectivePoint q = to_projective(double_completed(p.x, p.y, p.z));
+    q = to_projective(double_completed(q.x, q.y, q.z));
+    q = to_projective(double_completed(q.x, q.y, q.z));
+    return to_extended(double_completed(q.x, q.y, q.z));
+}
+
+}  // namespace
+
 Point point_add(const Point& p, const Point& q) {
-    const Fe a = fe_mul(fe_sub(p.y, p.x), fe_sub(q.y, q.x));
-    const Fe b = fe_mul(fe_add(p.y, p.x), fe_add(q.y, q.x));
-    const Fe c = fe_mul(fe_mul(p.t, curve_2d()), q.t);
-    const Fe d = fe_mul(fe_add(p.z, p.z), q.z);
-    const Fe e = fe_sub(b, a);
-    const Fe f = fe_sub(d, c);
-    const Fe g = fe_add(d, c);
-    const Fe h = fe_add(b, a);
-    return Point{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
+    return to_extended(add_cached(p, to_cached(q)));
 }
 
 Point point_double(const Point& p) {
-    const Fe a = fe_sq(p.x);
-    const Fe b = fe_sq(p.y);
-    const Fe c = fe_add(fe_sq(p.z), fe_sq(p.z));
-    const Fe h = fe_add(a, b);
-    const Fe e = fe_sub(h, fe_sq(fe_add(p.x, p.y)));
-    const Fe g = fe_sub(a, b);
-    const Fe f = fe_add(c, g);
-    return Point{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
+    return to_extended(double_completed(p.x, p.y, p.z));
 }
 
 Point point_neg(const Point& p) {
@@ -293,30 +391,63 @@ Point scalar_mul(const U256& k, const Point& p) {
 
 namespace {
 
-/// 15-entry window table: t[j-1] = j*P for j in 1..15.
-using WindowTable = std::array<Point, 15>;
+/// j*P for j in 1..15, in extended coordinates.
+std::array<Point, 15> small_multiples(const Point& p) {
+    std::array<Point, 15> m;
+    m[0] = p;
+    m[1] = point_double(p);
+    const CachedPoint p_cached = to_cached(p);
+    for (std::size_t j = 2; j < 15; ++j)
+        m[j] = to_extended(add_cached(m[j - 1], p_cached));
+    return m;
+}
+
+/// 15-entry window table: t[j-1] = j*P for j in 1..15, in cached form.
+using WindowTable = std::array<CachedPoint, 15>;
 
 WindowTable window_table(const Point& p) {
+    const std::array<Point, 15> m = small_multiples(p);
     WindowTable t;
-    t[0] = p;
-    t[1] = point_double(p);
-    for (std::size_t j = 2; j < 15; ++j) t[j] = point_add(t[j - 1], p);
+    for (std::size_t j = 0; j < 15; ++j) t[j] = to_cached(m[j]);
     return t;
 }
 
-/// Comb table for the base point: comb[w][j-1] = j * 16^w * B. One-time
-/// cost (magic static); afterwards a fixed-base multiplication is at most
-/// 64 additions and no doublings.
-const std::array<WindowTable, 64>& base_comb() {
-    static const std::array<WindowTable, 64> comb = [] {
-        std::array<WindowTable, 64> c;
+/// Comb table for the base point: comb[w][j-1] = j * 16^w * B, affine.
+/// One-time cost (magic static): the multiples are built in extended
+/// coordinates, then normalised to Z = 1 with one shared inversion
+/// (Montgomery's trick). Afterwards a fixed-base multiplication is at most
+/// 64 mixed additions and no doublings.
+using CombTable = std::array<std::array<AffineCachedPoint, 15>, 64>;
+
+const CombTable& base_comb() {
+    static const CombTable comb = [] {
+        constexpr std::size_t kEntries = std::size_t{64} * 15;
+        std::vector<Point> multiples;
+        multiples.reserve(kEntries);
         Point window_base = base_point();
         for (std::size_t w = 0; w < 64; ++w) {
-            c[w] = window_table(window_base);
-            if (w + 1 < 64) {
-                // 16^(w+1) * B = 2 * (8 * 16^w * B), already in the table.
-                window_base = point_double(c[w][7]);
-            }
+            const std::array<Point, 15> m = small_multiples(window_base);
+            multiples.insert(multiples.end(), m.begin(), m.end());
+            // 16^(w+1) * B = 2 * (8 * 16^w * B), already in the table.
+            window_base = point_double(m[7]);
+        }
+        // prefix[i] = Z_0 * ... * Z_i; one inversion, then walk back.
+        std::vector<Fe> prefix(kEntries);
+        Fe running = Fe::one();
+        for (std::size_t i = 0; i < kEntries; ++i) {
+            running = fe_mul(running, multiples[i].z);
+            prefix[i] = running;
+        }
+        Fe inv = fe_inv(running);  // (Z_0 * ... * Z_{n-1})^-1
+        CombTable c;
+        for (std::size_t k = kEntries; k > 0; --k) {
+            const std::size_t i = k - 1;
+            const Fe zinv = i > 0 ? fe_mul(inv, prefix[i - 1]) : inv;
+            inv = fe_mul(inv, multiples[i].z);
+            const Fe x = fe_mul(multiples[i].x, zinv);
+            const Fe y = fe_mul(multiples[i].y, zinv);
+            c[i / 15][i % 15] = AffineCachedPoint{
+                fe_add(y, x), fe_sub(y, x), fe_mul(fe_mul(x, y), curve_2d())};
         }
         return c;
     }();
@@ -326,29 +457,19 @@ const std::array<WindowTable, 64>& base_comb() {
 }  // namespace
 
 Point scalar_mul_base(const U256& k) {
-    const auto& comb = base_comb();
+    const CombTable& comb = base_comb();
     Point acc = Point::identity();
     for (int w = 0; w < 64; ++w) {
         const unsigned digit = k.window4(w);
         if (digit != 0)
-            acc = point_add(acc, comb[static_cast<std::size_t>(w)][digit - 1]);
+            acc = to_extended(
+                add_affine(acc, comb[static_cast<std::size_t>(w)][digit - 1]));
     }
     return acc;
 }
 
 Point scalar_mul_windowed(const U256& k, const Point& p) {
-    const int top = k.top_bit();
-    if (top < 0) return Point::identity();
-    const WindowTable table = window_table(p);
-    const int top_window = top / 4;
-    Point acc = Point::identity();
-    for (int w = top_window; w >= 0; --w) {
-        if (w != top_window)
-            for (int d = 0; d < 4; ++d) acc = point_double(acc);
-        const unsigned digit = k.window4(w);
-        if (digit != 0) acc = point_add(acc, table[digit - 1]);
-    }
-    return acc;
+    return multi_scalar_mul({{k, p}});
 }
 
 Point multi_scalar_mul(const std::vector<std::pair<U256, Point>>& terms) {
@@ -364,11 +485,11 @@ Point multi_scalar_mul(const std::vector<std::pair<U256, Point>>& terms) {
     const int top_window = top / 4;
     Point acc = Point::identity();
     for (int w = top_window; w >= 0; --w) {
-        if (w != top_window)
-            for (int d = 0; d < 4; ++d) acc = point_double(acc);
+        if (w != top_window) acc = double4(acc);
         for (std::size_t i = 0; i < terms.size(); ++i) {
             const unsigned digit = terms[i].first.window4(w);
-            if (digit != 0) acc = point_add(acc, tables[i][digit - 1]);
+            if (digit != 0)
+                acc = to_extended(add_cached(acc, tables[i][digit - 1]));
         }
     }
     return acc;
@@ -431,11 +552,7 @@ const Point& base_point() {
     return b;
 }
 
-const U256& group_order() {
-    static const U256 l = U256::from_hex(
-        "1000000000000000000000000000000014def9dea2f79cd65812631a5cf5d3ed");
-    return l;
-}
+const U256& group_order() { return kGroupOrder; }
 
 namespace {
 
@@ -444,8 +561,7 @@ U256 hash_to_scalar(std::initializer_list<BytesView> parts) {
     h.update(std::string_view("platoonsec.scalar.v1"));
     for (const auto& p : parts) h.update(p);
     const auto digest = h.finish();
-    return mod(U256::from_le_bytes(BytesView(digest.data(), digest.size())),
-               group_order());
+    return mod_l(U256::from_le_bytes(BytesView(digest.data(), digest.size())));
 }
 
 }  // namespace
@@ -467,8 +583,7 @@ Signature sign(const KeyPair& key, BytesView msg) {
     const Bytes r_bytes = point_to_bytes(big_r);
     const U256 e = hash_to_scalar(
         {BytesView(r_bytes), BytesView(key.public_bytes), msg});
-    const U256 s =
-        add_mod(r_eff, mul_mod(e, key.secret, group_order()), group_order());
+    const U256 s = add_mod(r_eff, mul_mod_l(e, key.secret), group_order());
 
     Signature sig;
     sig.bytes = r_bytes;
@@ -547,22 +662,24 @@ U256 draw_coefficient(const ScalarBits& bits) {
 }
 
 /// RLC acceptance test over already-parsed items:
-///   sum_i z_i*s_i * B - sum_i z_i * R_i - sum_i z_i*e_i * P_i == identity.
+///   sum_i z_i*s_i * B - sum_i z_i * R_i - sum_i z_i*e_i * P_i == identity,
+/// evaluated as (sum of the R and P terms) == -(base coefficient * B) so
+/// the base-point term runs on the comb instead of its own window table.
 bool rlc_accepts(const std::vector<ParsedSig>& parsed,
                  const std::vector<std::size_t>& idx, const ScalarBits& bits) {
     const U256& order = group_order();
     U256 base_coeff{};
     std::vector<std::pair<U256, Point>> terms;
-    terms.reserve(idx.size() * 2 + 1);
+    terms.reserve(idx.size() * 2);
     for (const std::size_t i : idx) {
         const ParsedSig& p = parsed[i];
         const U256 z = draw_coefficient(bits);
-        base_coeff = add_mod(base_coeff, mul_mod(z, p.s, order), order);
+        base_coeff = add_mod(base_coeff, mul_mod_l(z, p.s), order);
         terms.emplace_back(z, point_neg(p.big_r));
-        terms.emplace_back(mul_mod(z, p.e, order), point_neg(p.pub));
+        terms.emplace_back(mul_mod_l(z, p.e), point_neg(p.pub));
     }
-    terms.emplace_back(base_coeff, base_point());
-    return point_equal(multi_scalar_mul(terms), Point::identity());
+    return point_equal(multi_scalar_mul(terms),
+                       point_neg(scalar_mul_base(base_coeff)));
 }
 
 /// Recursive bisection: accept whole sub-batches via one RLC equation,

@@ -7,6 +7,14 @@
 // 1609.2 for the simulator's purposes: existential unforgeability against
 // the simulated attacker, who never holds the private key).
 //
+// The fast paths follow ref10 (Bernstein et al., "High-speed high-security
+// signatures", 2011): a dedicated squaring, inversion by an addition chain,
+// table entries stored in cached form (Y+X, Y-X, 2Z, 2dT) -- affine for the
+// static base-point comb -- and doubling chains that skip the T coordinate
+// whenever the next operation is another doubling. Double-and-add
+// `scalar_mul`, Shamir `double_scalar_mul` and `fe_pow` stay as the oracles
+// these paths are tested against.
+//
 // Scalar arithmetic modulo the group order L uses crypto/u256. None of this
 // is constant-time -- it protects a *simulated* network, not real traffic.
 #pragma once
@@ -43,15 +51,21 @@ struct Fe {
 [[nodiscard]] Fe fe_add(const Fe& a, const Fe& b);
 [[nodiscard]] Fe fe_sub(const Fe& a, const Fe& b);
 [[nodiscard]] Fe fe_mul(const Fe& a, const Fe& b);
+/// a^2 from 15 limb products instead of 25; limb-identical to fe_mul(a, a).
 [[nodiscard]] Fe fe_sq(const Fe& a);
 [[nodiscard]] Fe fe_neg(const Fe& a);
-/// Multiplicative inverse via Fermat (a^(p-2)); a must be nonzero.
+/// a^e by square-and-multiply over the bits of e. Reference only: the
+/// per-message paths use the addition chain in fe_inv.
+[[nodiscard]] Fe fe_pow(const Fe& a, const U256& e);
+/// Multiplicative inverse a^(p-2) by ref10's addition chain (254 squarings,
+/// 11 multiplies); a must be nonzero.
 [[nodiscard]] Fe fe_inv(const Fe& a);
 /// a^((p-3)/8)-based square root; nullopt when a is a non-residue.
 [[nodiscard]] std::optional<Fe> fe_sqrt(const Fe& a);
 /// Canonical 32-byte little-endian encoding.
 [[nodiscard]] Bytes fe_to_bytes(const Fe& a);
 [[nodiscard]] Fe fe_from_bytes(BytesView b);  // 32 bytes, top bit ignored
+/// Equality and zero tests on canonical limbs; neither allocates.
 [[nodiscard]] bool fe_equal(const Fe& a, const Fe& b);
 [[nodiscard]] bool fe_is_zero(const Fe& a);
 
@@ -75,13 +89,15 @@ struct Point {
 [[nodiscard]] Point double_scalar_mul(const U256& a, const Point& A,
                                       const U256& b, const Point& B);
 /// k*B for the standard base point via a precomputed 4-bit comb table
-/// (64 windows x 15 odd-index multiples): ~64 additions, no doublings.
+/// (64 windows x 15 multiples, stored affine in cached form): ~64 mixed
+/// additions of 7 multiplies each, no doublings.
 [[nodiscard]] Point scalar_mul_base(const U256& k);
-/// k*P via a fixed 4-bit window: 15-entry table of small multiples, then
-/// 4 doublings + at most one addition per window.
+/// k*P via a fixed 4-bit window: the one-term case of multi_scalar_mul.
 [[nodiscard]] Point scalar_mul_windowed(const U256& k, const Point& p);
-/// Sum of k_i * P_i via Straus interleaving (4-bit windows, one shared
-/// doubling chain); the workhorse of batch verification.
+/// Sum of k_i * P_i via Straus interleaving: a 15-entry cached-form table
+/// of small multiples per term, then one shared chain of 4 doublings per
+/// 4-bit window (the first three without T) with at most one addition per
+/// term and window; the workhorse of batch verification.
 [[nodiscard]] Point multi_scalar_mul(
     const std::vector<std::pair<U256, Point>>& terms);
 [[nodiscard]] bool point_equal(const Point& p, const Point& q);

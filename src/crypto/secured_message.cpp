@@ -25,6 +25,38 @@ obs::Counter g_verify_cached{"crypto.verify.cached"};
 
 using FactKey = VerdictCache::Key;
 
+/// Leading memo part that keeps the three kinds of fact key apart.
+constexpr std::uint8_t kMacFact[] = {1};
+constexpr std::uint8_t kSigFact[] = {2};
+constexpr std::uint8_t kCertFact[] = {3};
+
+/// Appends v's object bytes (memo preimages only: their layout is private
+/// to this file; a double contributes its exact bit pattern).
+template <class T>
+void put(std::uint8_t*& at, T v) {
+    std::memcpy(at, &v, sizeof v);
+    at += sizeof v;
+}
+
+/// The envelope's fixed-width authenticated fields (everything
+/// authenticated_bytes() encodes besides the constant label and the
+/// payload), as one memo part.
+constexpr std::size_t kEnvelopeFieldsSize =
+    2 + sizeof(Envelope::sender) + sizeof(Envelope::seq) +
+    sizeof(Envelope::timestamp);
+
+std::array<std::uint8_t, kEnvelopeFieldsSize> envelope_fields(
+    const Envelope& envelope) {
+    std::array<std::uint8_t, kEnvelopeFieldsSize> out{};
+    std::uint8_t* at = out.data();
+    put(at, static_cast<std::uint8_t>(envelope.mode));
+    put(at, static_cast<std::uint8_t>(envelope.encrypted ? 1 : 0));
+    put(at, envelope.sender);
+    put(at, envelope.seq);
+    put(at, envelope.timestamp);
+    return out;
+}
+
 /// SHA-256 of the envelope's canonical authenticated bytes.
 Sha256::Digest authenticated_digest(const Envelope& envelope) {
     Sha256 h;
@@ -33,40 +65,67 @@ Sha256::Digest authenticated_digest(const Envelope& envelope) {
     return h.finish();
 }
 
+/// Fact: "this envelope's tag is valid under this key material", in the
+/// domain `label` (a MAC or a signature) and memo kind `kind`.
+FactKey tag_fact_key(BytesView kind, std::string_view label,
+                     BytesView key_material, const Envelope& envelope,
+                     FactKeyMemo& memo) {
+    const auto fields = envelope_fields(envelope);
+    return memo.key_for(
+        {kind, key_material, fields, envelope.payload, envelope.tag}, [&] {
+            Sha256 h;
+            h.update(label);
+            h.update(key_material);
+            const auto ad = authenticated_digest(envelope);
+            h.update(BytesView(ad.data(), ad.size()));
+            h.update(BytesView(envelope.tag));
+            return h.finish();
+        });
+}
+
 /// Fact: "this tag is a valid MAC over these bytes under this key". Keyed
 /// on the key's digest, never the key itself.
-FactKey mac_fact_key(BytesView key_digest, const Envelope& envelope) {
-    Sha256 h;
-    h.update(std::string_view("platoonsec.vc.mac.v1"));
-    h.update(key_digest);
-    const auto ad = authenticated_digest(envelope);
-    h.update(BytesView(ad.data(), ad.size()));
-    h.update(BytesView(envelope.tag));
-    return h.finish();
+FactKey mac_fact_key(BytesView key_digest, const Envelope& envelope,
+                     FactKeyMemo& memo) {
+    return tag_fact_key(kMacFact, "platoonsec.vc.mac.v1", key_digest,
+                        envelope, memo);
 }
 
 /// Fact: "this tag is a valid signature over these bytes under this key".
-FactKey sig_fact_key(BytesView signer_public_key, const Envelope& envelope) {
-    Sha256 h;
-    h.update(std::string_view("platoonsec.vc.sig.v1"));
-    h.update(signer_public_key);
-    const auto ad = authenticated_digest(envelope);
-    h.update(BytesView(ad.data(), ad.size()));
-    h.update(BytesView(envelope.tag));
-    return h.finish();
+FactKey sig_fact_key(BytesView signer_public_key, const Envelope& envelope,
+                     FactKeyMemo& memo) {
+    return tag_fact_key(kSigFact, "platoonsec.vc.sig.v1", signer_public_key,
+                        envelope, memo);
 }
 
 /// Fact: "this certificate's CA signature verifies under this CA key".
 /// Time-window and CRL status are deliberately NOT part of the fact -- they
 /// depend on `now` and the receiver's CRL and are always checked fresh.
-FactKey cert_fact_key(BytesView ca_public_key, const Certificate& cert) {
-    Sha256 h;
-    h.update(std::string_view("platoonsec.vc.cert.v1"));
-    h.update(ca_public_key);
-    const Bytes tbs = cert.tbs();
-    h.update(BytesView(tbs));
-    h.update(BytesView(cert.ca_signature));
-    return h.finish();
+FactKey cert_fact_key(BytesView ca_public_key, const Certificate& cert,
+                      FactKeyMemo& memo) {
+    // Every tbs() field besides the label and the public key.
+    std::array<std::uint8_t,
+               sizeof(cert.serial) + sizeof(cert.subject.value) +
+                   sizeof(cert.pseudonym_id) + sizeof(cert.valid_from) +
+                   sizeof(cert.valid_until)>
+        fields{};
+    std::uint8_t* at = fields.data();
+    put(at, cert.serial);
+    put(at, cert.subject.value);
+    put(at, cert.pseudonym_id);
+    put(at, cert.valid_from);
+    put(at, cert.valid_until);
+    return memo.key_for(
+        {kCertFact, ca_public_key, fields, cert.public_key, cert.ca_signature},
+        [&] {
+            Sha256 h;
+            h.update(std::string_view("platoonsec.vc.cert.v1"));
+            h.update(ca_public_key);
+            const Bytes tbs = cert.tbs();
+            h.update(BytesView(tbs));
+            h.update(BytesView(cert.ca_signature));
+            return h.finish();
+        });
 }
 
 /// Marker fact for unprotected envelopes under a kNone policy. The verdict
@@ -144,7 +203,8 @@ VerifyResult ReplayGuard::check(std::uint32_t sender, std::uint64_t seq,
 bool MessageProtection::cert_signature_valid(const Certificate& cert,
                                              CacheProbe& probe) const {
     if (cache_ != nullptr) {
-        const FactKey key = cert_fact_key(BytesView(ca_public_key_), cert);
+        const FactKey key =
+            cert_fact_key(BytesView(ca_public_key_), cert, cache_->key_memo());
         ++probe.consulted;
         if (const auto hit = cache_->lookup(key)) {
             ++probe.hits;
@@ -164,29 +224,31 @@ bool MessageProtection::cert_signature_valid(const Certificate& cert,
     return true;
 }
 
-const Bytes& MessageProtection::group_key_digest() const {
-    if (group_key_digest_.empty() && !group_key_.empty()) {
-        Sha256 h;
-        h.update(std::string_view("platoonsec.vc.key.v1"));
-        h.update(BytesView(group_key_));
-        const auto d = h.finish();
-        group_key_digest_.assign(d.begin(), d.end());
+void MessageProtection::set_group_key(BytesView key) {
+    if (key.empty()) {
+        group_mac_key_.clear();
+        encryption_key_.clear();
+        group_key_digest_.clear();
+        return;
     }
-    return group_key_digest_;
+    group_mac_key_ = hkdf(key, {}, "platoon.mac");
+    encryption_key_ = hkdf(key, {}, "platoon.enc");
+    Sha256 h;
+    h.update(std::string_view("platoonsec.vc.key.v1"));
+    h.update(key);
+    const auto d = h.finish();
+    group_key_digest_.assign(d.begin(), d.end());
 }
 
-Bytes MessageProtection::mac_key_for(std::uint32_t peer) const {
-    if (config_.mode == AuthMode::kGroupMac) {
-        return hkdf(BytesView(group_key_), {}, "platoon.mac");
-    }
-    const auto it = pairwise_keys_.find(peer);
-    if (it == pairwise_keys_.end()) return {};
-    return hkdf(BytesView(it->second), {}, "platoon.mac");
+void MessageProtection::set_pairwise_key(std::uint32_t peer, BytesView key) {
+    pairwise_mac_keys_[peer] = hkdf(key, {}, "platoon.mac");
 }
 
-Bytes MessageProtection::encryption_key() const {
-    if (group_key_.empty()) return {};
-    return hkdf(BytesView(group_key_), {}, "platoon.enc");
+BytesView MessageProtection::mac_key_for(std::uint32_t peer) const {
+    if (config_.mode == AuthMode::kGroupMac) return group_mac_key_;
+    const auto it = pairwise_mac_keys_.find(peer);
+    if (it == pairwise_mac_keys_.end()) return {};
+    return it->second;
 }
 
 Bytes MessageProtection::nonce_for(std::uint32_t sender,
@@ -210,9 +272,9 @@ Envelope MessageProtection::protect(std::uint32_t sender, BytesView payload,
     env.payload = Bytes(payload.begin(), payload.end());
 
     if (config_.encrypt) {
-        const Bytes key = encryption_key();
-        if (!key.empty()) {
-            ChaCha20 cipher(BytesView(key), BytesView(nonce_for(sender, env.seq)));
+        if (!encryption_key_.empty()) {
+            ChaCha20 cipher(BytesView(encryption_key_),
+                            BytesView(nonce_for(sender, env.seq)));
             cipher.apply(env.payload);
             env.encrypted = true;
         }
@@ -222,17 +284,16 @@ Envelope MessageProtection::protect(std::uint32_t sender, BytesView payload,
         case AuthMode::kNone:
             break;
         case AuthMode::kGroupMac: {
-            PLATOON_EXPECTS(!group_key_.empty());
-            env.tag = hmac_tag(BytesView(mac_key_for(sender)),
+            PLATOON_EXPECTS(has_group_key());
+            env.tag = hmac_tag(mac_key_for(sender),
                                BytesView(env.authenticated_bytes()));
             break;
         }
         case AuthMode::kPairwiseMac: {
             PLATOON_EXPECTS(receiver.has_value());
-            const Bytes key = mac_key_for(*receiver);
+            const BytesView key = mac_key_for(*receiver);
             PLATOON_EXPECTS(!key.empty());
-            env.tag = hmac_tag(BytesView(key),
-                               BytesView(env.authenticated_bytes()));
+            env.tag = hmac_tag(key, BytesView(env.authenticated_bytes()));
             break;
         }
         case AuthMode::kSignature: {
@@ -291,10 +352,10 @@ VerifyResult MessageProtection::verify_and_open_impl(Envelope& envelope,
             case AuthMode::kNone:
                 return VerifyResult::kUnprotected;
             case AuthMode::kGroupMac: {
-                if (group_key_.empty()) return VerifyResult::kNoKey;
+                if (!has_group_key()) return VerifyResult::kNoKey;
                 const auto compute_tag_ok = [&] {
                     const Bytes expected =
-                        hmac_tag(BytesView(mac_key_for(envelope.sender)),
+                        hmac_tag(mac_key_for(envelope.sender),
                                  BytesView(envelope.authenticated_bytes()));
                     return ct_equal(BytesView(expected),
                                     BytesView(envelope.tag));
@@ -305,7 +366,8 @@ VerifyResult MessageProtection::verify_and_open_impl(Envelope& envelope,
                     // for everyone); the fact binds the key digest so
                     // differently-keyed receivers cannot alias.
                     const FactKey key =
-                        mac_fact_key(BytesView(group_key_digest()), envelope);
+                        mac_fact_key(BytesView(group_key_digest_), envelope,
+                                     cache_->key_memo());
                     ++probe.consulted;
                     if (const auto hit = cache_->lookup(key)) {
                         ++probe.hits;
@@ -323,10 +385,10 @@ VerifyResult MessageProtection::verify_and_open_impl(Envelope& envelope,
             case AuthMode::kPairwiseMac: {
                 // Never cached: the key is per-(sender,receiver), so the
                 // verdict is receiver-dependent by construction.
-                const Bytes key = mac_key_for(envelope.sender);
+                const BytesView key = mac_key_for(envelope.sender);
                 if (key.empty()) return VerifyResult::kNoKey;
-                const Bytes expected = hmac_tag(
-                    BytesView(key), BytesView(envelope.authenticated_bytes()));
+                const Bytes expected =
+                    hmac_tag(key, BytesView(envelope.authenticated_bytes()));
                 if (!ct_equal(BytesView(expected), BytesView(envelope.tag)))
                     return VerifyResult::kBadTag;
                 break;
@@ -354,8 +416,9 @@ VerifyResult MessageProtection::verify_and_open_impl(Envelope& envelope,
                 };
                 bool sig_ok;
                 if (cache_ != nullptr) {
-                    const FactKey key = sig_fact_key(
-                        BytesView(envelope.cert->public_key), envelope);
+                    const FactKey key =
+                        sig_fact_key(BytesView(envelope.cert->public_key),
+                                     envelope, cache_->key_memo());
                     ++probe.consulted;
                     if (const auto hit = cache_->lookup(key)) {
                         ++probe.hits;
@@ -385,9 +448,8 @@ VerifyResult MessageProtection::verify_and_open_impl(Envelope& envelope,
     if (envelope.encrypted) {
         // Never cached: decryption outcome depends on this receiver's key
         // material, and the payload mutation must happen per copy.
-        const Bytes key = encryption_key();
-        if (key.empty()) return VerifyResult::kNoKey;
-        ChaCha20 cipher(BytesView(key),
+        if (encryption_key_.empty()) return VerifyResult::kNoKey;
+        ChaCha20 cipher(BytesView(encryption_key_),
                         BytesView(nonce_for(envelope.sender, envelope.seq)));
         cipher.apply(envelope.payload);
         envelope.encrypted = false;
@@ -402,9 +464,10 @@ void prewarm_signature_verdicts(const Envelope& envelope,
         ca_public_key.empty())
         return;
     const Certificate& cert = *envelope.cert;
-    const FactKey cert_key = cert_fact_key(ca_public_key, cert);
+    FactKeyMemo& memo = cache.key_memo();
+    const FactKey cert_key = cert_fact_key(ca_public_key, cert, memo);
     const FactKey sig_key =
-        sig_fact_key(BytesView(cert.public_key), envelope);
+        sig_fact_key(BytesView(cert.public_key), envelope, memo);
     const auto cert_known = cache.lookup(cert_key);
     const auto sig_known = cache.lookup(sig_key);
     if (cert_known.has_value() && sig_known.has_value()) return;

@@ -110,16 +110,15 @@ public:
     [[nodiscard]] VerdictCache* verdict_cache() const { return cache_; }
 
     /// --- key material -----------------------------------------------------
-    void set_group_key(Bytes key) {
-        group_key_ = std::move(key);
-        group_key_digest_.clear();
-    }
-    [[nodiscard]] bool has_group_key() const { return !group_key_.empty(); }
-    void set_pairwise_key(std::uint32_t peer, Bytes key) {
-        pairwise_keys_[peer] = std::move(key);
-    }
+    /// Installing a key derives what the per-message paths use -- the MAC
+    /// and encryption keys (HKDF) and the group key's fact-binding digest --
+    /// once, here. Replacing a key replaces them; an empty group key removes
+    /// the group key.
+    void set_group_key(BytesView key);
+    [[nodiscard]] bool has_group_key() const { return !group_mac_key_.empty(); }
+    void set_pairwise_key(std::uint32_t peer, BytesView key);
     [[nodiscard]] bool has_pairwise_key(std::uint32_t peer) const {
-        return pairwise_keys_.contains(peer);
+        return pairwise_mac_keys_.contains(peer);
     }
     void set_credential(Credential credential) {
         credential_ = std::move(credential);
@@ -158,11 +157,10 @@ private:
 
     VerifyResult verify_and_open_impl(Envelope& envelope, sim::SimTime now,
                                       CacheProbe& probe);
-    [[nodiscard]] Bytes mac_key_for(std::uint32_t peer) const;
-    [[nodiscard]] Bytes encryption_key() const;
+    /// The derived MAC key for `peer` under the configured mode (the group
+    /// key's in kGroupMac); empty when there is none.
+    [[nodiscard]] BytesView mac_key_for(std::uint32_t peer) const;
     [[nodiscard]] Bytes nonce_for(std::uint32_t sender, std::uint64_t seq) const;
-    /// SHA-256 of the group key (cached); binds group-MAC facts to the key.
-    [[nodiscard]] const Bytes& group_key_digest() const;
 
     /// Memoized CA-signature checks: certificates are immutable, so a
     /// serial whose signature verified once never needs re-verification
@@ -174,9 +172,11 @@ private:
 
     Config config_;
     mutable std::unordered_set<std::uint64_t> verified_cert_serials_;
-    Bytes group_key_;
-    mutable Bytes group_key_digest_;
-    std::unordered_map<std::uint32_t, Bytes> pairwise_keys_;
+    Bytes group_mac_key_;     ///< HKDF(group key, "platoon.mac").
+    Bytes encryption_key_;    ///< HKDF(group key, "platoon.enc").
+    Bytes group_key_digest_;  ///< Binds group-MAC facts to the key.
+    /// HKDF(pairwise key, "platoon.mac") per peer.
+    std::unordered_map<std::uint32_t, Bytes> pairwise_mac_keys_;
     std::optional<Credential> credential_;
     Bytes ca_public_key_;
     RevocationList crl_;

@@ -81,6 +81,8 @@ void Sha256::process_block(const std::uint8_t* block) {
 
 Sha256& Sha256::update(BytesView data) {
     PLATOON_EXPECTS(!finished_);
+    // An empty view may carry a null data(), which memcpy must not see.
+    if (data.empty()) return *this;
     total_bytes_ += data.size();
     std::size_t i = 0;
     if (buffered_ > 0) {
@@ -106,27 +108,17 @@ Sha256::Digest Sha256::finish() {
     finished_ = true;
     const std::uint64_t bit_len = total_bytes_ * 8;
 
-    // Padding: 0x80, zeros, 64-bit big-endian bit length.
-    std::uint8_t pad[72] = {0x80};
-    const std::size_t rem = buffered_;
-    const std::size_t pad_len = (rem < 56) ? (56 - rem) : (120 - rem);
-    Bytes tail(pad, pad + pad_len);
-    for (int i = 7; i >= 0; --i)
-        tail.push_back(static_cast<std::uint8_t>(bit_len >> (8 * i)));
-
-    // Feed padding without counting it in total_bytes_.
-    std::size_t i = 0;
-    std::size_t buf = buffered_;
-    std::array<std::uint8_t, 64> block = buffer_;
-    for (std::uint8_t byte : tail) {
-        block[buf++] = byte;
-        if (buf == 64) {
-            process_block(block.data());
-            buf = 0;
-        }
-        (void)i;
-    }
-    PLATOON_ENSURES(buf == 0);
+    // Padding, built on the stack: the buffered tail, 0x80, zeros, then the
+    // 64-bit big-endian bit length ending the last block. One block when
+    // the length still fits after the 0x80 byte, two otherwise.
+    std::array<std::uint8_t, 128> tail{};
+    std::memcpy(tail.data(), buffer_.data(), buffered_);
+    tail[buffered_] = 0x80;
+    const std::size_t tail_len = buffered_ < 56 ? 64 : 128;
+    for (std::size_t i = 0; i < 8; ++i)
+        tail[tail_len - 1 - i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+    for (std::size_t at = 0; at < tail_len; at += 64)
+        process_block(tail.data() + at);
 
     Digest out;
     for (int j = 0; j < 8; ++j) {

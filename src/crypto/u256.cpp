@@ -170,6 +170,74 @@ U256 mod(const U256& x, const U256& m) {
     return mod(wide, m);
 }
 
+namespace {
+
+/// floor(2^512 / L), the Barrett constant for kGroupOrder (261 bits).
+constexpr std::array<std::uint64_t, 5> kBarrettMu = {
+    0xed9ce5a30a2c131bull, 0x2106215d086329a7ull, 0xffffffffffffffebull,
+    0xffffffffffffffffull, 0xfull};
+
+}  // namespace
+
+U256 mod_l(const U512& x) {
+    // q = ((x >> 192) * mu) >> 320. It undershoots floor(x / L) by at most
+    // one: mu's floor loses frac(2^512 / L) ~ 0.225 of a quotient unit and
+    // dropping the low 192 bits of x less than 2^-60. So x - q*L lies in
+    // [0, 2L), below 2^254, and its low four words are the whole value.
+    std::array<std::uint64_t, 10> q1mu{};
+    for (std::size_t i = 0; i < 5; ++i) {
+        u128 carry = 0;
+        for (std::size_t j = 0; j < 5; ++j) {
+            const u128 cur = static_cast<u128>(x.w[i + 3]) * kBarrettMu[j] +
+                             q1mu[i + j] + carry;
+            q1mu[i + j] = static_cast<std::uint64_t>(cur);
+            carry = cur >> 64;
+        }
+        q1mu[i + 5] = static_cast<std::uint64_t>(carry);
+    }
+    U256 qL;  // q * L mod 2^256; q is q1mu[5..9]
+    for (std::size_t i = 0; i < 4; ++i) {
+        u128 carry = 0;
+        for (std::size_t j = 0; i + j < 4; ++j) {
+            const u128 cur = static_cast<u128>(q1mu[i + 5]) *
+                                 kGroupOrder.w[j] +
+                             qL.w[i + j] + carry;
+            qL.w[i + j] = static_cast<std::uint64_t>(cur);
+            carry = cur >> 64;
+        }
+    }
+    U256 low;
+    for (std::size_t i = 0; i < 4; ++i) low.w[i] = x.w[i];
+    bool borrow;
+    U256 r = sub(low, qL, borrow);  // exact modulo 2^256
+    if (cmp(r, kGroupOrder) != std::strong_ordering::less)
+        r = sub(r, kGroupOrder, borrow);
+    PLATOON_ENSURES(cmp(r, kGroupOrder) == std::strong_ordering::less);
+    return r;
+}
+
+U256 mod_l(const U256& x) {
+    // q = floor(x / 2^252) overestimates floor(x / L) by at most one, so
+    // x - q*L lies in (-L, L): add L back once when it went negative.
+    const std::uint64_t q = x.w[3] >> 60;
+    U256 qL;
+    u128 carry = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+        const u128 cur = static_cast<u128>(kGroupOrder.w[i]) * q + carry;
+        qL.w[i] = static_cast<std::uint64_t>(cur);
+        carry = cur >> 64;
+    }
+    bool borrow;
+    U256 r = sub(x, qL, borrow);
+    if (borrow) {
+        bool ignored;
+        r = add(r, kGroupOrder, ignored);
+    }
+    return r;
+}
+
+U256 mul_mod_l(const U256& a, const U256& b) { return mod_l(mul_wide(a, b)); }
+
 U256 add_mod(const U256& a, const U256& b, const U256& m) {
     PLATOON_EXPECTS(cmp(a, m) == std::strong_ordering::less);
     PLATOON_EXPECTS(cmp(b, m) == std::strong_ordering::less);

@@ -1,9 +1,10 @@
 // Fixed-width 256/512-bit unsigned integers with modular arithmetic.
 //
 // Used for scalar arithmetic modulo the edwards25519 group order L in the
-// Schnorr signature scheme. Division is binary shift-subtract: simple,
-// obviously correct, and fast enough for a network simulator (a few
-// microseconds per reduction).
+// Schnorr signature scheme. Reductions mod L are word-level (Barrett for a
+// 512-bit product, a single quotient digit for a 256-bit hash); the generic
+// binary shift-subtract `mod` is obviously correct but bit-serial, and stays
+// as the oracle the mod-L paths are tested against.
 #pragma once
 
 #include <array>
@@ -67,9 +68,29 @@ struct U512 {
 /// Full 256x256 -> 512-bit product.
 [[nodiscard]] U512 mul_wide(const U256& a, const U256& b);
 
-/// x mod m (m != 0) via binary long division.
+/// x mod m (m != 0) via binary long division: one shift-subtract step per
+/// bit of x. The reference the mod-L reductions below are checked against.
 [[nodiscard]] U256 mod(const U512& x, const U256& m);
 [[nodiscard]] U256 mod(const U256& x, const U256& m);
+
+/// The edwards25519 group order
+/// L = 2^252 + 27742317777372353535851937790883648493.
+inline constexpr U256 kGroupOrder = [] {
+    U256 l;
+    l.w = {0x5812631a5cf5d3edull, 0x14def9dea2f79cd6ull, 0,
+           0x1000000000000000ull};
+    return l;
+}();
+
+/// x mod L by Barrett reduction over 64-bit words (HAC 14.42, b = 2^64,
+/// k = 4): one 5x5-word quotient estimate, one 4-word product, at most one
+/// final subtraction of L.
+[[nodiscard]] U256 mod_l(const U512& x);
+/// x mod L for a 256-bit x: the quotient is x >> 252 (at most 15) up to one
+/// fix-up, because L exceeds 2^252 by less than 2^125.
+[[nodiscard]] U256 mod_l(const U256& x);
+/// (a * b) mod L.
+[[nodiscard]] U256 mul_mod_l(const U256& a, const U256& b);
 
 /// (a + b) mod m ; inputs must already be < m.
 [[nodiscard]] U256 add_mod(const U256& a, const U256& b, const U256& m);

@@ -9,25 +9,81 @@
 // freshness, pairwise-MAC, decryption) are evaluated fresh on every call, so
 // heterogeneous receivers and time-dependent verdicts stay exact.
 //
-// The cache is bounded (FIFO eviction) and fully deterministic: one instance
-// is shared by all receivers of a Scenario, lookups never iterate the map,
-// and eviction order depends only on insertion order.
+// Computing a fact key hashes the certificate or envelope it binds, which
+// costs several SHA-256 blocks -- as much as every receiver but the first
+// would otherwise pay. So the cache also carries a FactKeyMemo: a small,
+// bounded map from each key's exact preimage to the key. The network's
+// prewarm fills it before a fan-out, and every receiver then finds its keys
+// there after a byte-for-byte comparison. The memo changes no key and no
+// lookup: every VerdictCache lookup and store still happens, in order.
+//
+// Both are bounded and fully deterministic: one instance is shared by all
+// receivers of a Scenario, lookups never iterate a map, the cache evicts in
+// insertion order and a memo slot depends only on the preimage it holds.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <unordered_map>
+#include <vector>
+
+#include "crypto/bytes.hpp"
 
 namespace platoon::crypto {
+
+/// Fact keys by their exact preimage: the sequence of byte strings (key
+/// material, encoded fields, payload, tag) a key is a digest of. A hit
+/// requires every part to match the stored preimage byte for byte, lengths
+/// included, so no attacker-chosen field -- a serial, a sequence number --
+/// can stand in for the rest. Direct-mapped: a store replaces whatever held
+/// its slot. It changes cost only; the key returned is always the one
+/// `compute` would return.
+class FactKeyMemo {
+public:
+    using Key = std::array<std::uint8_t, 32>;
+
+    explicit FactKeyMemo(std::size_t slots = 256);
+
+    /// The key of `preimage`: memoized when a stored preimage matches it
+    /// exactly, else `compute()`, which is then stored. Callers must pass
+    /// the same part layout for the same kind of key, and lead with a part
+    /// that tells the kinds apart.
+    template <class Compute>
+    Key key_for(std::initializer_list<BytesView> preimage, Compute&& compute) {
+        const std::span<const BytesView> parts(preimage.begin(),
+                                               preimage.size());
+        Slot& slot = slot_for(parts);
+        if (slot.used && matches(slot.preimage, parts)) return slot.key;
+        const Key key = compute();
+        fill(slot, parts, key);
+        return key;
+    }
+
+private:
+    struct Slot {
+        bool used = false;
+        Key key{};
+        Bytes preimage;  ///< Each part as an 8-byte length, then its bytes.
+    };
+
+    Slot& slot_for(std::span<const BytesView> parts);
+    static bool matches(const Bytes& stored, std::span<const BytesView> parts);
+    static void fill(Slot& slot, std::span<const BytesView> parts,
+                     const Key& key);
+
+    std::vector<Slot> slots_;
+};
 
 class VerdictCache {
 public:
     /// 32-byte fact key (a domain-separated SHA-256 digest, or a packed
     /// header for the trivial-accept fact; see secured_message.cpp).
-    using Key = std::array<std::uint8_t, 32>;
+    using Key = FactKeyMemo::Key;
 
     explicit VerdictCache(std::size_t capacity = 4096);
 
@@ -40,6 +96,9 @@ public:
 
     [[nodiscard]] std::size_t size() const { return map_.size(); }
     [[nodiscard]] std::size_t capacity() const { return capacity_; }
+
+    /// The memo of fact keys shared by the same receivers.
+    [[nodiscard]] FactKeyMemo& key_memo() { return key_memo_; }
 
 private:
     struct KeyHash {
@@ -59,6 +118,7 @@ private:
     // nondeterminism into verdicts or counters.
     std::unordered_map<Key, bool, KeyHash> map_;
     std::deque<Key> fifo_;  ///< Insertion order, drives eviction.
+    FactKeyMemo key_memo_;
 };
 
 }  // namespace platoon::crypto

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <stdexcept>
 
 namespace platoon::obs {
 
@@ -75,7 +76,65 @@ bool operator==(const Json& a, const Json& b) {
     return false;
 }
 
+bool valid_utf8(std::string_view s) {
+    const auto byte = [s](std::size_t at) {
+        return static_cast<unsigned char>(s[at]);
+    };
+    std::size_t i = 0;
+    while (i < s.size()) {
+        const unsigned char lead = byte(i);
+        if (lead < 0x80) {
+            ++i;
+            continue;
+        }
+        // Sequence length and the valid range of the second byte, which
+        // excludes overlongs (E0, F0), surrogates (ED) and > U+10FFFF (F4).
+        std::size_t len;
+        unsigned char lo = 0x80, hi = 0xBF;
+        if (lead >= 0xC2 && lead <= 0xDF) {
+            len = 2;
+        } else if (lead >= 0xE0 && lead <= 0xEF) {
+            len = 3;
+            if (lead == 0xE0) lo = 0xA0;
+            if (lead == 0xED) hi = 0x9F;
+        } else if (lead >= 0xF0 && lead <= 0xF4) {
+            len = 4;
+            if (lead == 0xF0) lo = 0x90;
+            if (lead == 0xF4) hi = 0x8F;
+        } else {
+            return false;  // continuation byte, C0/C1 or F5..FF as a lead
+        }
+        if (s.size() - i < len) return false;
+        if (byte(i + 1) < lo || byte(i + 1) > hi) return false;
+        for (std::size_t k = 2; k < len; ++k)
+            if (byte(i + k) < 0x80 || byte(i + k) > 0xBF) return false;
+        i += len;
+    }
+    return true;
+}
+
 namespace {
+
+/// Appends `segment` to a JSON Pointer (RFC 6901: "~" -> "~0", "/" -> "~1").
+void push_pointer(std::string& path, std::string_view segment) {
+    path += '/';
+    for (const char c : segment) {
+        if (c == '~') {
+            path += "~0";
+        } else if (c == '/') {
+            path += "~1";
+        } else {
+            path += c;
+        }
+    }
+}
+
+void require_utf8(const std::string& s, const std::string& path,
+                  const char* what) {
+    if (valid_utf8(s)) return;
+    throw std::invalid_argument(std::string("obs::Json::dump: ") + what +
+                                " is not valid UTF-8 at \"" + path + "\"");
+}
 
 void escape_to(std::string& out, const std::string& s) {
     out += '"';
@@ -115,7 +174,8 @@ void number_to(std::string& out, double v) {
 
 }  // namespace
 
-void Json::dump_to(std::string& out, int indent, int depth) const {
+void Json::dump_to(std::string& out, int indent, int depth,
+                   std::string& path) const {
     const std::string pad(static_cast<std::size_t>(indent * (depth + 1)), ' ');
     const std::string close_pad(static_cast<std::size_t>(indent * depth), ' ');
     switch (type_) {
@@ -128,7 +188,10 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
             break;
         }
         case Type::kDouble: number_to(out, double_); break;
-        case Type::kString: escape_to(out, string_); break;
+        case Type::kString:
+            require_utf8(string_, path, "string");
+            escape_to(out, string_);
+            break;
         case Type::kArray: {
             if (array_.empty()) {
                 out += "[]";
@@ -137,7 +200,10 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
             out += "[\n";
             for (std::size_t i = 0; i < array_.size(); ++i) {
                 out += pad;
-                array_[i].dump_to(out, indent, depth + 1);
+                const std::size_t mark = path.size();
+                push_pointer(path, std::to_string(i));
+                array_[i].dump_to(out, indent, depth + 1, path);
+                path.resize(mark);
                 if (i + 1 < array_.size()) out += ',';
                 out += '\n';
             }
@@ -153,10 +219,16 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
             out += "{\n";
             std::size_t i = 0;
             for (const auto& [key, value] : object_) {
+                // Checked before it joins the path, so a message never
+                // carries the bad bytes; the path names its parent.
+                require_utf8(key, path, "an object key");
                 out += pad;
                 escape_to(out, key);
                 out += ": ";
-                value.dump_to(out, indent, depth + 1);
+                const std::size_t mark = path.size();
+                push_pointer(path, key);
+                value.dump_to(out, indent, depth + 1, path);
+                path.resize(mark);
                 if (++i < object_.size()) out += ',';
                 out += '\n';
             }
@@ -169,7 +241,8 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
 
 std::string Json::dump(int indent) const {
     std::string out;
-    dump_to(out, indent, 0);
+    std::string path;
+    dump_to(out, indent, 0, path);
     out += '\n';
     return out;
 }

@@ -60,6 +60,9 @@ public:
 
     /// Deterministic serialization: sorted keys (std::map), fixed 2-space
     /// indentation, shortest-round-trip doubles, "\uXXXX" for control chars.
+    /// Throws std::invalid_argument, naming the offending JSON Pointer
+    /// path, when a key or string is not valid UTF-8: a corrupt artifact is
+    /// never written.
     [[nodiscard]] std::string dump(int indent = 2) const;
 
     /// Strict-enough parser for our own artifacts (objects, arrays,
@@ -71,7 +74,9 @@ public:
     friend bool operator==(const Json& a, const Json& b);
 
 private:
-    void dump_to(std::string& out, int indent, int depth) const;
+    /// `path` is the JSON Pointer of this value, for error messages.
+    void dump_to(std::string& out, int indent, int depth,
+                 std::string& path) const;
 
     Type type_ = Type::kNull;
     bool bool_ = false;
@@ -81,5 +86,10 @@ private:
     Array array_;
     Object object_;
 };
+
+/// True iff `s` is well-formed UTF-8 (RFC 3629): no stray continuation
+/// bytes, truncated or overlong sequences, surrogates, or code points above
+/// U+10FFFF.
+[[nodiscard]] bool valid_utf8(std::string_view s);
 
 }  // namespace platoon::obs

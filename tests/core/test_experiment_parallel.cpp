@@ -72,6 +72,27 @@ TEST(ExperimentParallel, SparseMetricKeysFoldIdentically) {
     expect_bitwise_equal(serial.stddev, parallel.stddev);
 }
 
+TEST(ExperimentParallel, StddevSurvivesALargeCommonOffset) {
+    // sum_sq/n - mean^2 cancels to 0 here; the two-pass fold keeps the
+    // spread: population stddev of {0.1, 0.2, 0.3} is sqrt(0.02/3).
+    std::vector<pc::MetricMap> runs(3);
+    runs[0] = {{"x", 1e8 + 0.1}};
+    runs[1] = {{"x", 1e8 + 0.2}};
+    runs[2] = {{"x", 1e8 + 0.3}};
+    const pc::Aggregate agg = pc::aggregate_runs(runs);
+    EXPECT_NEAR(agg.stddev.at("x"), std::sqrt(0.02 / 3.0), 1e-6);
+}
+
+TEST(ExperimentParallel, StddevCountsAMissingKeyAsZero) {
+    // A key absent from a run contributes 0 to it, as it does to the mean.
+    std::vector<pc::MetricMap> runs(2);
+    runs[0] = {{"sparse", 2.0}};
+    runs[1] = {};
+    const pc::Aggregate agg = pc::aggregate_runs(runs);
+    EXPECT_DOUBLE_EQ(agg.mean.at("sparse"), 1.0);
+    EXPECT_DOUBLE_EQ(agg.stddev.at("sparse"), 1.0);
+}
+
 TEST(ExperimentParallel, ZeroSeedsYieldsEmptyAggregateNotNaNs) {
     const auto agg = pc::run_seeds(small_spec(), 0, 4);
     EXPECT_EQ(agg.runs, 0u);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "control/controller.hpp"
@@ -358,10 +359,22 @@ TEST(JoinerFsm, DenyAndTimeout) {
 
 // Parameterised string-stability sweep: all three controllers must survive a
 // hard braking wave without collision at their natural spacing.
+//
+// gtest names each case after the raw bytes of its parameter. The explicit
+// zero field fills what would otherwise be uninitialised padding, so every
+// case gets the same name on every run.
 struct ControllerCase {
+    ControllerCase(ct::ControllerType t, double gap)
+        : type(t), initial_gap(gap) {}
+
     ct::ControllerType type;
+    std::int32_t reserved = 0;
     double initial_gap;
 };
+static_assert(sizeof(ControllerCase) == sizeof(ct::ControllerType) +
+                                            sizeof(std::int32_t) +
+                                            sizeof(double),
+              "ControllerCase must have no padding bytes");
 
 class ControllerSweep : public ::testing::TestWithParam<ControllerCase> {};
 

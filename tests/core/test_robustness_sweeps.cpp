@@ -3,6 +3,8 @@
 // fuel-saving platoon in the clean case.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/scenario.hpp"
 
 namespace pc = platoon::core;
@@ -46,6 +48,10 @@ struct AuthCase {
     bool encrypt;
     const char* name;
 };
+
+// Names each case after its mode. gtest's default would dump the raw bytes,
+// which hold padding and a pointer and so change from run to run.
+void PrintTo(const AuthCase& c, std::ostream* os) { *os << c.name; }
 
 class AuthModeSweep : public ::testing::TestWithParam<AuthCase> {};
 

@@ -133,10 +133,8 @@ ScaleResult run_tier(const ps::CompiledCell& cell, const Tier& tier) {
         result.events += pb::metric(m, "scale.events");
         result.messages += pb::metric(m, "scale.messages");
         result.delivered += pb::metric(m, "scale.delivered");
-        for (const auto& [name, value] : m) result.mean[name] += value;
     }
-    for (auto& [name, value] : result.mean)
-        value /= static_cast<double>(per_seed.size());
+    result.mean = pc::aggregate_runs(per_seed).mean;
     return result;
 }
 

@@ -81,16 +81,10 @@ Scenario::Scenario(ScenarioConfig config)
     }
 
     // --- extra corridor platoons -------------------------------------------
-    // Built after the primary platoon and its key establishment so a config
-    // with no extra_platoons consumes randomness in exactly the historical
-    // order (bit-identical to the single-platoon codebase).
+    // Built after the primary platoon and its key establishment, so extra
+    // platoons never shift the primary platoon's random draws.
     platoon_spans_.emplace_back(0, config_.platoon_size);
     build_extra_platoons();
-    // Corridor scale makes the peer table hold every node in radio range;
-    // switch topology derivation onto the same-platoon peer index. Gated on
-    // the corridor so single-platoon scenarios keep the exact legacy scan.
-    if (!config_.extra_platoons.empty())
-        for (auto& vehicle : vehicles_) vehicle->enable_peer_index();
 
     // --- RSUs ----------------------------------------------------------------
     for (std::size_t i = 0; i < config_.rsu_count; ++i) {
@@ -253,7 +247,6 @@ void Scenario::apply_corridor_event(const CorridorEvent& event) {
                 v.set_lane(0);
                 if (membership) membership->append(v.id());
             }
-            radar_cache_.built_at = -1e18;  // lanes changed: resnapshot
             break;
         }
         case CorridorEvent::Kind::kSplit: {
@@ -269,7 +262,6 @@ void Scenario::apply_corridor_event(const CorridorEvent& event) {
         }
         case CorridorEvent::Kind::kCutIn: {
             vehicles_[base + event.index]->set_lane(0);
-            radar_cache_.built_at = -1e18;
             break;
         }
         case CorridorEvent::Kind::kRsuHandoff: {
@@ -333,6 +325,7 @@ PlatoonVehicle& Scenario::add_vehicle(VehicleConfig config) {
     install_radar_resolver(*vehicle);
     vehicle->start();
     vehicles_.push_back(std::move(vehicle));
+    radar_index_stale_ = true;
     return *vehicles_.back();
 }
 
@@ -407,78 +400,43 @@ void Scenario::establish_pairwise_keys() {
 }
 
 void Scenario::install_radar_resolver(PlatoonVehicle& vehicle) {
-    // Single-platoon scenarios keep the exact per-call scan (golden
-    // metrics); corridor scenarios route through the sorted snapshot so the
-    // 100 Hz control loop is O(log n) instead of O(n) per vehicle.
-    if (!config_.extra_platoons.empty()) {
-        vehicle.set_radar_target_resolver(
-            [this](const PlatoonVehicle& self) {
-                return resolve_radar_target_indexed(self);
-            });
-        return;
-    }
     vehicle.set_radar_target_resolver(
-        [this](const PlatoonVehicle& self) -> const phys::VehicleDynamics* {
-            const double my_pos = self.dynamics().position();
-            const PlatoonVehicle* best = nullptr;
-            double best_gap = 1e18;
-            for (const auto& other : vehicles_) {
-                if (other.get() == &self) continue;
-                if (other->lane() != self.lane()) continue;
-                const double gap = other->dynamics().position() -
-                                   other->dynamics().length() - my_pos;
-                if (gap > -2.0 && gap < best_gap) {
-                    best_gap = gap;
-                    best = other.get();
-                }
-            }
-            return best != nullptr ? &best->dynamics() : nullptr;
-        });
+        [this](const PlatoonVehicle& self) { return radar_target(self); });
 }
 
-const phys::VehicleDynamics* Scenario::resolve_radar_target_indexed(
+const phys::VehicleDynamics* Scenario::radar_target(
     const PlatoonVehicle& self) {
-    constexpr double kPeriod = 0.05;    // snapshot refresh (sim seconds)
-    constexpr double kMaxSpeed = 60.0;  // corridor speed bound (m/s)
+    const net::Network::Params& snapshot = config_.network;
     const sim::SimTime now = scheduler_.now();
-    if (now - radar_cache_.built_at > kPeriod) {
-        std::size_t max_lane = 0;
-        for (const auto& v : vehicles_)
-            max_lane = std::max<std::size_t>(max_lane, v->lane());
-        radar_cache_.lanes.assign(max_lane + 1, {});
-        for (const auto& v : vehicles_) {
-            radar_cache_.lanes[v->lane()].push_back(
-                {v->dynamics().position() - v->dynamics().length(), v.get()});
+    if (radar_index_stale_ ||
+        now - radar_index_.built_at() > snapshot.spatial_rebuild_period_s) {
+        std::vector<net::SpatialIndex::Entry> rears;
+        rears.reserve(vehicles_.size());
+        for (std::size_t i = 0; i < vehicles_.size(); ++i) {
+            const phys::VehicleDynamics& d = vehicles_[i]->dynamics();
+            rears.push_back({.x = d.position() - d.length(),
+                             .id = vehicles_[i]->id(),
+                             .handle = i});
         }
-        for (auto& lane : radar_cache_.lanes) {
-            std::sort(lane.begin(), lane.end(),
-                      [](const RadarCacheEntry& a, const RadarCacheEntry& b) {
-                          if (a.rear_m != b.rear_m) return a.rear_m < b.rear_m;
-                          return a.vehicle->id() < b.vehicle->id();
-                      });
-        }
-        radar_cache_.built_at = now;
+        radar_index_.rebuild(std::move(rears), now);
+        radar_index_stale_ = false;
     }
 
-    if (self.lane() >= radar_cache_.lanes.size()) return nullptr;
-    const auto& lane = radar_cache_.lanes[self.lane()];
-    // Stale snapshot: every cached rear bumper is within `slack` of its
-    // fresh position, so scanning from (threshold - slack) and stopping
-    // once the cached rear exceeds my_pos + best_gap + slack evaluates the
-    // exact predicate on every vehicle that could possibly win.
-    const double slack = kMaxSpeed * (now - radar_cache_.built_at) + 2.0;
+    // Every cached rear bumper is within `slack` of its fresh position, so
+    // scanning from (my_pos - 2 - slack) and stopping once a cached rear
+    // exceeds my_pos + best_gap + slack evaluates the exact predicate on
+    // every vehicle that could win.
+    const double slack =
+        snapshot.max_node_speed_mps * (now - radar_index_.built_at()) +
+        snapshot.spatial_slack_margin_m;
     const double my_pos = self.dynamics().position();
-    const double threshold = my_pos - 2.0;
-    auto it = std::lower_bound(
-        lane.begin(), lane.end(), threshold - slack,
-        [](const RadarCacheEntry& e, double bound) { return e.rear_m < bound; });
     const PlatoonVehicle* best = nullptr;
     double best_gap = 1e18;
-    for (; it != lane.end(); ++it) {
-        if (best != nullptr && it->rear_m - slack > my_pos + best_gap) break;
-        const PlatoonVehicle* other = it->vehicle;
-        if (other == &self) continue;
-        if (other->lane() != self.lane()) continue;  // changed lanes since build
+    for (const net::SpatialIndex::Entry& e :
+         radar_index_.from(my_pos - 2.0 - slack)) {
+        if (best != nullptr && e.x - slack > my_pos + best_gap) break;
+        const PlatoonVehicle* other = vehicles_[e.handle].get();
+        if (other == &self || other->lane() != self.lane()) continue;
         const double gap = other->dynamics().position() -
                            other->dynamics().length() - my_pos;
         if (gap > -2.0 && gap < best_gap) {

@@ -87,9 +87,9 @@ struct ScenarioConfig {
     bool share_verify_verdicts = true;
     sim::SimTime control_period_s = 0.01;
     sim::SimTime beacon_period_s = 0.1;
-    /// Extra platoons sharing the corridor (empty = classic single-platoon
-    /// scenario, bit-identical to the pre-multi-platoon codebase) and the
-    /// scripted traffic events between them.
+    /// Extra platoons sharing the corridor (empty = the classic
+    /// single-platoon scenario) and the scripted traffic events between
+    /// them.
     std::vector<PlatoonSpec> extra_platoons;
     std::vector<CorridorEvent> corridor;
 };
@@ -165,22 +165,9 @@ private:
     void establish_pairwise_keys();
     void build_extra_platoons();
     void apply_corridor_event(const CorridorEvent& event);
-    /// Per-lane sorted radar snapshot (multi-platoon scenarios only): the
-    /// brute target scan is O(vehicles) per 100 Hz control step, O(n^2)
-    /// corridor-wide. The snapshot refreshes every kRadarCachePeriod of sim
-    /// time; candidate selection re-checks exact fresh positions inside a
-    /// slack-widened window, so only target *association* latency is
-    /// bounded by the period, never the measured gap.
-    struct RadarCacheEntry {
-        double rear_m = 0.0;  ///< Stale rear-bumper position at build time.
-        PlatoonVehicle* vehicle = nullptr;
-    };
-    struct RadarCache {
-        sim::SimTime built_at = -1e18;
-        std::vector<std::vector<RadarCacheEntry>> lanes;  // indexed by lane
-    };
-    const phys::VehicleDynamics* resolve_radar_target_indexed(
-        const PlatoonVehicle& self);
+    /// The radar's ground truth for `self`: the vehicle whose rear bumper
+    /// is nearest ahead in `self`'s current lane.
+    const phys::VehicleDynamics* radar_target(const PlatoonVehicle& self);
 
     ScenarioConfig config_;
     sim::Scheduler scheduler_;
@@ -201,7 +188,12 @@ private:
     /// (first vehicles_ index, size) per corridor platoon; entry 0 is the
     /// primary platoon. Single-entry when extra_platoons is empty.
     std::vector<std::pair<std::size_t, std::size_t>> platoon_spans_;
-    RadarCache radar_cache_;
+    /// Rear bumpers of every vehicle over all lanes (handle = vehicles_
+    /// index), refreshed on config_.network's snapshot cadence and
+    /// whenever add_vehicle grows vehicles_. Lanes are checked live at
+    /// query time, so lane changes need no refresh.
+    net::SpatialIndex radar_index_;
+    bool radar_index_stale_ = true;
 };
 
 }  // namespace platoon::core

@@ -163,6 +163,7 @@ void PlatoonVehicle::prune_peers(sim::SimTime now) {
             return entry.second.state.age(now) > 2.0;
         });
         peers_min_received_ = std::numeric_limits<double>::infinity();
+        // platoonlint: allow(no-unordered-iteration) a minimum is order-free
         for (const auto& [wire, peer] : peers_)
             peers_min_received_ =
                 std::min(peers_min_received_, peer.state.received_at);
@@ -176,17 +177,27 @@ void PlatoonVehicle::prune_peers(sim::SimTime now) {
     }
 }
 
-void PlatoonVehicle::enable_peer_index() {
-    peer_index_enabled_ = true;
-    rebuild_peer_index();
+void PlatoonVehicle::rebuild_peer_index() {
+    platoon_peers_.clear();
+    if (platoon_id_ == 0) return;
+    // platoonlint: allow(no-unordered-iteration) sorted by wire below
+    for (const auto& [wire, peer] : peers_)
+        if (peer.platoon_id == platoon_id_)
+            platoon_peers_.push_back({wire, &peer});
+    std::sort(platoon_peers_.begin(), platoon_peers_.end(),
+              [](const PeerRef& a, const PeerRef& b) { return a.wire < b.wire; });
 }
 
-void PlatoonVehicle::rebuild_peer_index() {
-    if (!peer_index_enabled_) return;
-    platoon_peer_wires_.clear();
-    if (platoon_id_ == 0) return;
-    for (const auto& [wire, peer] : peers_)
-        if (peer.platoon_id == platoon_id_) platoon_peer_wires_.push_back(wire);
+void PlatoonVehicle::index_peer(std::uint32_t wire, const Peer& peer) {
+    const auto at = std::lower_bound(
+        platoon_peers_.begin(), platoon_peers_.end(), wire,
+        [](const PeerRef& ref, std::uint32_t w) { return ref.wire < w; });
+    const bool listed = at != platoon_peers_.end() && at->wire == wire;
+    const bool want = platoon_id_ != 0 && peer.platoon_id == platoon_id_;
+    if (want && !listed)
+        platoon_peers_.insert(at, {wire, &peer});
+    else if (!want && listed)
+        platoon_peers_.erase(at);
 }
 
 void PlatoonVehicle::refresh_topology(double own_position, sim::SimTime now) {
@@ -200,13 +211,12 @@ void PlatoonVehicle::refresh_topology(double own_position, sim::SimTime now) {
     // ghost vehicles exploit.
     std::optional<std::uint32_t> best;
     double best_delta = 1e18;
-    const auto consider = [&](std::uint32_t wire, const Peer& peer) {
-        if (platoon_id_ == 0 || peer.platoon_id != platoon_id_) return;
-        if (peer.lane != lane_) return;
-        if (peer.state.age(now) > 1.5) return;
+    for (const auto& [wire, peer] : platoon_peers_) {
+        if (peer->lane != lane_) continue;
+        if (peer->state.age(now) > 1.5) continue;
         if (config_.security.trust_management && !trust_.trusted(wire))
-            return;
-        const double delta = peer.state.position_m - own_position;
+            continue;
+        const double delta = peer->state.position_m - own_position;
         if (delta > 0.0 && delta < best_delta) {
             best_delta = delta;
             best = wire;
@@ -214,18 +224,8 @@ void PlatoonVehicle::refresh_topology(double own_position, sim::SimTime now) {
         // Leader claim: index 0 in our platoon. Sanity: the leader is
         // ahead of every member by definition -- an index-0 claim from
         // behind us is someone abusing the leader's identity or role.
-        if (peer.platoon_index == 0 && peer.state.position_m > own_position)
+        if (peer->platoon_index == 0 && peer->state.position_m > own_position)
             leader_wire_ = wire;
-    };
-    if (peer_index_enabled_) {
-        // Corridor mode: only same-platoon peers can pass the filters, so
-        // scan the maintained index instead of every node in radio range.
-        for (const std::uint32_t wire : platoon_peer_wires_) {
-            const auto it = peers_.find(wire);
-            if (it != peers_.end()) consider(wire, it->second);
-        }
-    } else {
-        for (const auto& [wire, peer] : peers_) consider(wire, peer);
     }
     predecessor_wire_ = best;
 }
@@ -736,16 +736,7 @@ void PlatoonVehicle::handle_beacon(const net::Beacon& beacon,
     peer.platoon_id = beacon.platoon_id;
     peer.platoon_index = beacon.platoon_index;
     peer.lane = beacon.lane;
-    if (peer_index_enabled_) {
-        const bool want =
-            platoon_id_ != 0 && peer.platoon_id == platoon_id_;
-        const auto at = std::find(platoon_peer_wires_.begin(),
-                                  platoon_peer_wires_.end(), envelope.sender);
-        if (want && at == platoon_peer_wires_.end())
-            platoon_peer_wires_.push_back(envelope.sender);
-        else if (!want && at != platoon_peer_wires_.end())
-            platoon_peer_wires_.erase(at);
-    }
+    index_peer(envelope.sender, peer);
 
     // SP-VLC chain relay: leader beacons hop member-to-member over VLC so
     // CACC keeps its leader feed when RF is jammed.

@@ -114,9 +114,18 @@ public:
     }
     void set_desired_speed(double v) { desired_speed_mps_ = v; }
     [[nodiscard]] double desired_speed() const { return desired_speed_mps_; }
-    /// Claimed-beacon-derived predecessor (what the controller follows).
+    /// Beacon-derived topology (what the controller follows), as wire ids.
+    /// Both come from the same-platoon peers in ascending wire order, so
+    /// they do not depend on the order beacons arrived in:
+    ///  - predecessor: the nearest claim ahead in our platoon and lane;
+    ///    equal distances go to the lowest wire;
+    ///  - leader: the last (highest-wire) index-0 claim ahead of us.
+    /// Only fresh, trusted claims count; see refresh_topology().
     [[nodiscard]] std::optional<std::uint32_t> current_predecessor() const {
         return predecessor_wire_;
+    }
+    [[nodiscard]] std::optional<std::uint32_t> current_leader() const {
+        return leader_wire_;
     }
 
     /// --- platoon management -------------------------------------------------
@@ -145,14 +154,6 @@ public:
     void set_lane(std::uint8_t lane) { lane_ = lane; }
     void set_rsu_hint(sim::NodeId rsu) { config_.rsu_hint = rsu; }
     [[nodiscard]] sim::NodeId rsu_hint() const { return config_.rsu_hint; }
-
-    /// Opt into the incrementally-maintained same-platoon peer index used
-    /// by refresh_topology(). At corridor scale the peer table holds every
-    /// node in radio range while only same-platoon entries matter to
-    /// topology, so the full-table scan is O(corridor) per control step.
-    /// Single-platoon scenarios keep the exact legacy scan (bit-identical
-    /// goldens); multi-platoon scenarios enable the index at build time.
-    void enable_peer_index();
 
     /// --- security state ----------------------------------------------------
     [[nodiscard]] crypto::MessageProtection& protection() {
@@ -295,9 +296,11 @@ private:
     /// Derives (predecessor, leader) peer data for the controller.
     void refresh_topology(double own_position, sim::SimTime now);
     void prune_peers(sim::SimTime now);
-    /// Recomputes platoon_peer_wires_ from peers_ (platoon id changes,
-    /// prune sweeps). No-op while the index is disabled.
+    /// Recomputes platoon_peers_ from peers_ (platoon id changes, prune
+    /// sweeps).
     void rebuild_peer_index();
+    /// Adds or drops one upserted peer so platoon_peers_ stays in sync.
+    void index_peer(std::uint32_t wire, const Peer& peer);
     [[nodiscard]] std::optional<double> beacon_gap(double own_position) const;
     /// Timestamp this vehicle *writes* into outgoing messages: scheduler
     /// time unless a clock-skew fault is active.
@@ -362,10 +365,15 @@ private:
     /// Conservative lower bound on every peer's received_at; prune_peers
     /// skips its full-table sweep while nothing can have expired.
     sim::SimTime peers_min_received_ = std::numeric_limits<double>::infinity();
-    /// Same-platoon peer wires in arrival order (see enable_peer_index).
-    /// Maintained on beacon upserts, prune sweeps and platoon_id_ changes.
-    bool peer_index_enabled_ = false;
-    std::vector<std::uint32_t> platoon_peer_wires_;
+    /// The peers_ entries of our own platoon, in ascending wire order: at
+    /// corridor scale peers_ holds every node in radio range, but only
+    /// these can pass the topology filters. References into peers_ stay
+    /// valid across rehashes; prune sweeps, the only erase, rebuild this.
+    struct PeerRef {
+        std::uint32_t wire = 0;
+        const Peer* peer = nullptr;
+    };
+    std::vector<PeerRef> platoon_peers_;
     std::optional<std::uint32_t> predecessor_wire_;
     std::optional<std::uint32_t> leader_wire_;
     std::unordered_set<std::uint64_t> vlc_forwarded_;

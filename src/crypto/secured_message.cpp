@@ -216,11 +216,13 @@ bool MessageProtection::cert_signature_valid(const Certificate& cert,
         cache_->store(key, ok);
         return ok;
     }
-    if (verified_cert_serials_.contains(cert.serial)) return true;
+    // Keyed on exactly what verify() reads besides the CA key.
+    std::pair<Bytes, Bytes> exact{cert.tbs(), cert.ca_signature};
+    if (verified_certs_.contains(exact)) return true;
     Signature sig{cert.ca_signature};
     g_sig_verifies.inc();
-    if (!verify(BytesView(ca_public_key_), cert.tbs(), sig)) return false;
-    verified_cert_serials_.insert(cert.serial);
+    if (!verify(BytesView(ca_public_key_), exact.first, sig)) return false;
+    verified_certs_.insert(std::move(exact));
     return true;
 }
 

@@ -15,8 +15,9 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <set>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "crypto/cert.hpp"
 #include "crypto/chacha20.hpp"
@@ -162,16 +163,18 @@ private:
     [[nodiscard]] BytesView mac_key_for(std::uint32_t peer) const;
     [[nodiscard]] Bytes nonce_for(std::uint32_t sender, std::uint64_t seq) const;
 
-    /// Memoized CA-signature checks: certificates are immutable, so a
-    /// serial whose signature verified once never needs re-verification
+    /// Memoized CA-signature checks: a certificate whose exact bytes (tbs
+    /// and CA signature) verified once never needs re-verification
     /// (time-window and CRL checks stay per-message -- they depend on now).
-    /// With a shared cache installed the fact lives there instead, keyed on
-    /// the full (CA key, tbs, signature) digest.
+    /// Keying on the bytes, not the serial, means a certificate that copies
+    /// a verified serial around another public key is checked afresh. With
+    /// a shared cache installed the fact lives there instead, keyed on the
+    /// full (CA key, tbs, signature) digest.
     [[nodiscard]] bool cert_signature_valid(const Certificate& cert,
                                             CacheProbe& probe) const;
 
     Config config_;
-    mutable std::unordered_set<std::uint64_t> verified_cert_serials_;
+    mutable std::set<std::pair<Bytes, Bytes>> verified_certs_;  ///< (tbs, sig)
     Bytes group_mac_key_;     ///< HKDF(group key, "platoon.mac").
     Bytes encryption_key_;    ///< HKDF(group key, "platoon.enc").
     Bytes group_key_digest_;  ///< Binds group-MAC facts to the key.

@@ -149,17 +149,6 @@ void normalize_config(core::ScenarioConfig& config, AttackKind kind) {
     }
 }
 
-// Per-key mean over per-seed maps, folded in seed order. A key missing from
-// some seeds still divides by the full seed count (it contributed 0 there).
-MetricMap fold_seed_means(const std::vector<MetricMap>& per_seed) {
-    MetricMap sum;
-    for (const MetricMap& m : per_seed)
-        for (const auto& [name, value] : m) sum[name] += value;
-    for (auto& [name, value] : sum)
-        value /= static_cast<double>(per_seed.size());
-    return sum;
-}
-
 }  // namespace
 
 MetricMap run_eval(core::ScenarioConfig config, AttackKind kind,
@@ -200,7 +189,7 @@ std::vector<MetricMap> run_eval_grid(const std::vector<EvalCell>& cells,
         const std::vector<MetricMap> slice(
             per_seed.begin() + static_cast<std::ptrdiff_t>(offset),
             per_seed.begin() + static_cast<std::ptrdiff_t>(offset + seeds));
-        out.push_back(fold_seed_means(slice));
+        out.push_back(core::aggregate_runs(slice).mean);
         offset += seeds;
     }
     return out;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/counters.hpp"
 #include "obs/timer.hpp"
@@ -14,11 +13,6 @@ namespace platoon::net {
 namespace {
 double dbm_to_mw(double dbm) { return std::pow(10.0, dbm / 10.0); }
 double mw_to_dbm(double mw) { return 10.0 * std::log10(std::max(mw, 1e-15)); }
-
-bool brute_force_env() {
-    const char* v = std::getenv("PLATOON_BRUTE_FORCE_NET");
-    return v != nullptr && v[0] == '1';
-}
 
 obs::Counter g_sent{"net.sent"};
 obs::Counter g_sent_forged{"net.sent_forged"};
@@ -37,8 +31,7 @@ Network::Network(sim::Scheduler& scheduler, Params params, std::uint64_t seed)
       params_(params),
       channel_(params.channel, seed),
       rng_(seed, "network.mac"),
-      batch_rng_(seed, "network.batchverify"),
-      brute_force_(params.brute_force_delivery || brute_force_env()) {}
+      batch_rng_(seed, "network.batchverify") {}
 
 void Network::register_node(sim::NodeId id, PositionFn position,
                             ReceiveHandler on_receive) {
@@ -79,6 +72,7 @@ void Network::ensure_index() {
     }
     std::vector<SpatialIndex::Entry> entries;
     entries.reserve(nodes_.size());
+    // platoonlint: allow(no-unordered-iteration) rebuild() sorts by (x, id)
     for (const auto& [id, node] : nodes_) {
         entries.push_back({node.position(), id, node.traits.vlc});
     }
@@ -246,37 +240,27 @@ void Network::finish_transmission(std::uint32_t slot, std::uint64_t gen) {
 
     // Reception candidates, sorted by NodeId (deterministic order; handlers
     // can (un)register nodes, so the set is snapshotted before delivery).
+    ensure_index();
+    const double reach = params_.max_range_m + index_slack(now);
     std::vector<sim::NodeId> receivers;
-    if (brute_force_) {
-        receivers.reserve(nodes_.size());
-        for (const auto& [id, node] : nodes_) {
-            if (id != tx.from) receivers.push_back(id);
-        }
-    } else {
-        ensure_index();
-        const double reach = params_.max_range_m + index_slack(now);
-        std::vector<SpatialIndex::Entry> window;
-        index_.collect(tx.tx_position - reach, tx.tx_position + reach,
-                       window);
-        receivers.reserve(window.size());
-        for (const SpatialIndex::Entry& e : window) {
-            if (e.id != tx.from) receivers.push_back(e.id);
-        }
-        // Everyone outside the slack-widened window is guaranteed outside
-        // max_range_m at its exact position too (spatial_index.hpp), so the
-        // far tail is bulk-counted without sampling positions.
-        const std::uint64_t far = total_receivers - receivers.size();
-        stats_.dropped_range += far;
-        g_dropped_range.add(far);
+    for (const SpatialIndex::Entry& e : index_.from(tx.tx_position - reach)) {
+        if (e.x > tx.tx_position + reach) break;
+        if (e.id != tx.from) receivers.push_back(e.id);
     }
+    // Everyone outside the slack-widened window is guaranteed outside
+    // max_range_m at its exact position too (spatial_index.hpp), so the far
+    // tail is bulk-counted without sampling positions.
+    const std::uint64_t far = total_receivers - receivers.size();
+    stats_.dropped_range += far;
+    g_dropped_range.add(far);
     std::sort(receivers.begin(), receivers.end());
 
     // Settle receiver-independent signature facts once, before the fan-out,
     // so each receiver below hits the shared verdict cache. Gated on the
     // envelope mode here (cheaply) as well as inside the hook: unsigned
     // traffic must not touch batch_rng_. The gate counts *all* registered
-    // receivers, not just in-range candidates, so both delivery paths draw
-    // from batch_rng_ identically.
+    // receivers, not just in-range candidates, so the draws do not depend
+    // on the index window.
     if (verify_prewarm_ && total_receivers > 1 &&
         tx.frame.envelope.mode == crypto::AuthMode::kSignature) {
         verify_prewarm_(tx.frame.envelope, batch_rng_);
@@ -352,30 +336,20 @@ std::pair<sim::NodeId, sim::NodeId> Network::vlc_targets(sim::NodeId from) {
     if (from_it == nodes_.end()) return {};
     const double my_pos = from_it->second.position();
 
-    // Candidates as (id, exact position), gathered either from the whole
-    // registry or from the index window, then scanned in NodeId order so an
-    // exact-distance tie resolves identically on both paths. The window is
-    // widened past the strict-< reach (vlc_range_m + 1.0) by the slack, so
-    // any node that could win the nearest-neighbor scan is inside it.
+    // Candidates as (id, exact position) from the index window, scanned in
+    // NodeId order so an exact-distance tie resolves to the lower id. The
+    // window is widened past the strict-< reach (vlc_range_m + 1.0) by the
+    // slack, so any node that could win the nearest-neighbor scan is inside.
+    ensure_index();
+    const double reach =
+        params_.vlc_range_m + 1.0 + index_slack(scheduler_.now());
     std::vector<std::pair<sim::NodeId, double>> cands;
-    if (brute_force_) {
-        for (const auto& [id, node] : nodes_) {
-            if (id == from || !node.traits.vlc) continue;
-            cands.emplace_back(id, node.position());
-        }
-    } else {
-        ensure_index();
-        const double reach =
-            params_.vlc_range_m + 1.0 + index_slack(scheduler_.now());
-        std::vector<SpatialIndex::Entry> window;
-        index_.collect_vlc(my_pos - reach, my_pos + reach, window);
-        cands.reserve(window.size());
-        for (const SpatialIndex::Entry& e : window) {
-            if (e.id == from) continue;
-            const auto it = nodes_.find(e.id);
-            if (it == nodes_.end()) continue;
-            cands.emplace_back(e.id, it->second.position());
-        }
+    for (const SpatialIndex::Entry& e : index_.from(my_pos - reach)) {
+        if (e.x > my_pos + reach) break;
+        if (!e.vlc || e.id == from) continue;
+        const auto it = nodes_.find(e.id);
+        if (it == nodes_.end()) continue;
+        cands.emplace_back(e.id, it->second.position());
     }
     std::sort(cands.begin(), cands.end());
 

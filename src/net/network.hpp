@@ -12,15 +12,19 @@
 // Delivery scale: reception candidates and VLC neighbor lookups run through
 // a sorted-by-x SpatialIndex so each fan-out costs O(nodes nearby) instead
 // of O(all registered nodes). The index is a stale snapshot; queries widen
-// their window by a slack term so the indexed path stays bit-identical to
-// the O(all-pairs) reference scan (Params::brute_force_delivery or
-// PLATOON_BRUTE_FORCE_NET=1), which tests pin. In-flight Transmissions live
-// in a slab arena (stable slots + free list) so the steady-state hot path
-// performs no per-frame container growth or deep frame copies.
+// their window by a slack term so every node that can pass the exact
+// per-receiver range check is a candidate. The window is an optimisation,
+// never a behaviour: with spatial_slack_margin_m = +inf it holds every node
+// and the same code is the all-pairs reference that
+// tests/net/test_spatial_delivery.cpp pins it against. In-flight
+// Transmissions live in a slab arena (stable slots + free list) so the
+// steady-state hot path performs no per-frame container growth or deep
+// frame copies.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -102,15 +106,12 @@ public:
         int max_mac_attempts = 7;
         double max_range_m = 800.0;
 
-        /// Force the O(all-pairs) reference delivery scan instead of the
-        /// spatial index. The env var PLATOON_BRUTE_FORCE_NET=1 flips the
-        /// same switch at construction time; both paths are pinned
-        /// bit-identical by tests/net/test_spatial_delivery.cpp.
-        bool brute_force_delivery = false;
         /// Snapshot refresh cadence. Between rebuilds, queries widen their
         /// window by max_node_speed_mps x snapshot age + the safety margin,
         /// so a longer period trades extra candidates for fewer O(n)
-        /// position sweeps.
+        /// position sweeps. The scenario's radar snapshot uses the same
+        /// three values. An infinite margin widens every window to the
+        /// whole registry (the test oracle) without changing any result.
         double spatial_rebuild_period_s = 0.05;
         double max_node_speed_mps = 60.0;
         double spatial_slack_margin_m = 10.0;
@@ -146,8 +147,7 @@ public:
     /// The two nodes a VLC frame from `from` can reach: nearest
     /// optical-chain node ahead and nearest behind (vehicle bodies block
     /// anything further), within the optical range. Either id may be
-    /// invalid. Exact ties resolve to the lower NodeId on both delivery
-    /// paths.
+    /// invalid. Exact ties resolve to the lower NodeId.
     [[nodiscard]] std::pair<sim::NodeId, sim::NodeId> vlc_targets(
         sim::NodeId from);
 
@@ -195,7 +195,6 @@ public:
     [[nodiscard]] Channel& channel() { return channel_; }
     [[nodiscard]] const Params& params() const { return params_; }
     [[nodiscard]] double node_position(sim::NodeId id) const;
-    [[nodiscard]] bool brute_force_delivery() const { return brute_force_; }
 
 private:
     struct Node {
@@ -258,8 +257,9 @@ private:
     std::vector<std::uint32_t> active_slots_;  // includes recently finished
     SpatialIndex index_;
     bool index_dirty_ = true;
-    bool brute_force_ = false;
-    std::unordered_map<int, JammerConfig> jammers_;
+    /// By jammer id: jammer_power_mw sums powers and draws fading in id
+    /// order.
+    std::map<int, JammerConfig> jammers_;
     int next_jammer_id_ = 1;
     FaultLossFn fault_loss_;
     VerifyPrewarmFn verify_prewarm_;

@@ -14,22 +14,11 @@ void SpatialIndex::rebuild(std::vector<Entry> entries, sim::SimTime at) {
     built_at_ = at;
 }
 
-void SpatialIndex::collect(double lo, double hi,
-                           std::vector<Entry>& out) const {
-    auto it = std::lower_bound(
+std::span<const SpatialIndex::Entry> SpatialIndex::from(double lo) const {
+    const auto it = std::lower_bound(
         entries_.begin(), entries_.end(), lo,
         [](const Entry& e, double bound) { return e.x < bound; });
-    for (; it != entries_.end() && it->x <= hi; ++it) out.push_back(*it);
-}
-
-void SpatialIndex::collect_vlc(double lo, double hi,
-                               std::vector<Entry>& out) const {
-    auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), lo,
-        [](const Entry& e, double bound) { return e.x < bound; });
-    for (; it != entries_.end() && it->x <= hi; ++it) {
-        if (it->vlc) out.push_back(*it);
-    }
+    return {it, entries_.end()};
 }
 
 }  // namespace platoon::net

@@ -192,6 +192,30 @@ TEST_F(SignatureEnvelopeTest, RoundTrip) {
     EXPECT_EQ(receiver_.verify_and_open(env, 1.0), pc::VerifyResult::kOk);
 }
 
+TEST_F(SignatureEnvelopeTest, VerifiedSerialDoesNotVouchForAnotherKey) {
+    // Without a shared cache the receiver memoizes CA checks itself. A
+    // certificate that copies a verified one -- serial, subject, validity
+    // and CA signature -- around another public key must still fail the CA
+    // check, or that key's holder can sign as the victim.
+    auto honest = sender_.protect(1, payload_, 1.0);
+    const pc::Certificate victim_cert = *honest.cert;
+    ASSERT_EQ(receiver_.verify_and_open(honest, 1.0), pc::VerifyResult::kOk);
+
+    pc::Credential forged;
+    forged.key = pc::KeyPair::from_seed(seed(31));
+    forged.cert = victim_cert;
+    forged.cert.public_key = forged.key.public_bytes;
+    auto attacker = make(pc::AuthMode::kSignature);
+    attacker.set_credential(forged);
+    attacker.set_seq_base(100);  // past the victim's replay high-water mark
+    auto env = attacker.protect(1, payload_, 1.1);
+    EXPECT_EQ(receiver_.verify_and_open(env, 1.1), pc::VerifyResult::kBadCert);
+
+    // The honest certificate stays memoized and keeps verifying.
+    auto again = sender_.protect(1, payload_, 1.2);
+    EXPECT_EQ(receiver_.verify_and_open(again, 1.2), pc::VerifyResult::kOk);
+}
+
 TEST_F(SignatureEnvelopeTest, RejectsTamperedPayload) {
     auto env = sender_.protect(1, payload_, 1.0);
     env.payload[3] ^= 1;

@@ -6,12 +6,17 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <sys/wait.h>
+#include <unistd.h>
+
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -115,6 +120,19 @@ TEST(Platoonlint, FlagsUnorderedIterationInReportScope) {
     EXPECT_NE(r.output.find("2 finding(s)"), std::string::npos) << r.output;
 }
 
+TEST(Platoonlint, FlagsUnorderedMemberDeclaredInOwnHeader) {
+    // The member is declared in jammer_table.hpp and iterated in
+    // jammer_table.cpp: the rule reads a .cpp's own header for names.
+    const RunResult r = run_lint(fixture_args("src/net/jammer_table.cpp"));
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_NE(r.output.find("src/net/jammer_table.cpp:7: error: "
+                            "[no-unordered-iteration] range-for over "
+                            "unordered container `power_mw_`"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("1 finding(s)"), std::string::npos) << r.output;
+}
+
 TEST(Platoonlint, FixOrderModePrintsSortedKeyHint) {
     const RunResult r = run_lint(
         "--fix-order " + fixture_args("src/core/metrics_hash_order.cpp"));
@@ -216,16 +234,16 @@ TEST(Platoonlint, WholeFixtureTreeCountsEverySeededViolation) {
         run_lint("--root " + std::string(LINT_FIXTURE_DIR) + " " +
                  std::string(LINT_FIXTURE_DIR));
     EXPECT_EQ(r.exit_code, 1) << r.output;
-    // entropy(2) + wallclock(3+1 steady) + unordered(2) + cheating(2: decl
-    // + read) + layering(1) + fault layering(1) + scen layering(1) +
-    // bare_suppression(2: decl + read) + steady_probe(1) = 16 per-file,
-    // plus the cross-TU set: dup counter(2 sites) + counter style(1) +
-    // baseline ghost(1) + stream collision(1) + undeclared stream(1) +
-    // unused manifest entry(1) + unknown scenario attack(1) + stale
-    // suppression(1) + unknown-rule suppression(1) = 10, total 26. The
-    // justified suppressions in suppressed_detector.cpp and
+    // entropy(2) + wallclock(3+1 steady) + unordered(2) + header-declared
+    // unordered member(1) + cheating(2: decl + read) + layering(1) + fault
+    // layering(1) + scen layering(1) + bare_suppression(2: decl + read) +
+    // steady_probe(1) = 17 per-file, plus the cross-TU set: dup counter(2
+    // sites) + counter style(1) + baseline ghost(1) + stream collision(1) +
+    // undeclared stream(1) + unused manifest entry(1) + unknown scenario
+    // attack(1) + stale suppression(1) + unknown-rule suppression(1) = 10,
+    // total 27. The justified suppressions in suppressed_detector.cpp and
     // timer_sanctioned.cpp contribute none.
-    EXPECT_NE(r.output.find("26 finding(s)"), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("27 finding(s)"), std::string::npos) << r.output;
 }
 
 TEST(Platoonlint, FlagsDuplicateCounterAtBothSites) {
@@ -469,12 +487,38 @@ TEST(Platoonlint, DiffBaseUnknownRefExitsTwo) {
 }
 
 TEST(Platoonlint, DiffBaseHeadRunsTheDiffMachinery) {
-    // The diff may be empty (clean checkout) or carry in-flight edits;
-    // either way the run must succeed, not die in the git plumbing.
-    const RunResult r = run_lint("--root " +
-                                 std::string(REPO_SOURCE_DIR) +
-                                 " --diff-base HEAD");
-    EXPECT_TRUE(r.exit_code == 0 || r.exit_code == 1) << r.output;
+    // A throwaway repository, so the test does not depend on how the source
+    // tree was checked out: two clean committed files, then an uncommitted
+    // edit that seeds a finding in one. The diff against HEAD must scope
+    // the run to the edited file and report its finding.
+    const fs::path repo = fs::temp_directory_path() /
+                          ("platoonlint-diff-" + std::to_string(::getpid()));
+    fs::remove_all(repo);
+    fs::create_directories(repo / "src" / "sim");
+    const auto write = [&](const std::string& rel, const std::string& text) {
+        std::ofstream(repo / rel) << text;
+    };
+    write("src/sim/kept.cpp", "int kept() { return 1; }\n");
+    write("src/sim/edited.cpp", "int edited() { return 2; }\n");
+    const std::string git = "git -C '" + repo.string() + "' ";
+    const std::string init =
+        git + "init -q && " + git + "add -A && " + git +
+        "-c user.name=lint -c user.email=lint@example.invalid "
+        "-c commit.gpgsign=false commit -q -m base >/dev/null 2>&1";
+    ASSERT_EQ(std::system(init.c_str()), 0) << init;
+    write("src/sim/edited.cpp",
+          "#include <cstdlib>\nint edited() { return rand(); }\n");
+
+    const RunResult r =
+        run_lint("--root " + repo.string() + " --diff-base HEAD");
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_NE(r.output.find("src/sim/edited.cpp:2: error: "
+                            "[no-unseeded-random]"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("1 finding(s) in 1 files"), std::string::npos)
+        << r.output;
+    fs::remove_all(repo);
 }
 
 TEST(Platoonlint, RealTreeIsClean) {

@@ -1,6 +1,7 @@
-// Pins the spatial-index delivery path bit-identical to the O(all-pairs)
-// brute-force reference scan (Network::Params::brute_force_delivery /
-// PLATOON_BRUTE_FORCE_NET=1).
+// Pins the spatial-index delivery path against an all-pairs reference: the
+// same Network with spatial_slack_margin_m = +inf, whose query window holds
+// every registered node, so each one gets the exact per-receiver range
+// check an O(all-pairs) scan makes.
 //
 // The index is allowed to change HOW candidate receivers are found, never
 // WHAT is observable: reception sets, per-frame SINR bits, obs counters and
@@ -14,8 +15,7 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <tuple>
+#include <limits>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -50,6 +50,10 @@ struct RunLog {
     pn::NetworkStats stats;
 };
 
+/// The reference: an infinite margin widens every index window to the whole
+/// registry.
+constexpr double kAllNodes = std::numeric_limits<double>::infinity();
+
 pn::Frame make_frame(std::uint32_t sender, std::uint64_t seq) {
     pn::Frame f;
     f.envelope.sender = sender;
@@ -61,11 +65,11 @@ pn::Frame make_frame(std::uint32_t sender, std::uint64_t seq) {
 /// Runs one randomized traffic pattern: `nodes` stations spread over the
 /// corridor (every third one mobile), a continuous jammer mid-corridor, a
 /// duty-cycled mobile jammer sweeping through, and a fast mobile attacker
-/// node that also transmits. Deterministic given (seed, nodes, brute).
-RunLog run_pattern(std::uint64_t seed, std::size_t nodes, bool brute) {
+/// node that also transmits. Deterministic given (seed, nodes, reference).
+RunLog run_pattern(std::uint64_t seed, std::size_t nodes, bool reference) {
     Scheduler scheduler;
     pn::Network::Params params;
-    params.brute_force_delivery = brute;
+    if (reference) params.spatial_slack_margin_m = kAllNodes;
     pn::Network network(scheduler, params, seed);
 
     RunLog log;
@@ -154,35 +158,25 @@ TEST(SpatialDelivery, PropertyBruteForceAndIndexAreByteIdentical) {
     // observable and would silently drift every golden in the repo.
     for (const std::size_t nodes : {4, 24, 64}) {
         for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-            const RunLog brute = run_pattern(seed, nodes, true);
+            const RunLog reference = run_pattern(seed, nodes, true);
             const RunLog index = run_pattern(seed, nodes, false);
 
-            ASSERT_FALSE(brute.receptions.empty())
+            ASSERT_FALSE(reference.receptions.empty())
                 << "degenerate pattern at nodes=" << nodes
                 << " seed=" << seed;
-            ASSERT_EQ(brute.receptions.size(), index.receptions.size())
+            ASSERT_EQ(reference.receptions.size(), index.receptions.size())
                 << "nodes=" << nodes << " seed=" << seed;
-            for (std::size_t i = 0; i < brute.receptions.size(); ++i)
-                ASSERT_EQ(brute.receptions[i], index.receptions[i])
+            for (std::size_t i = 0; i < reference.receptions.size(); ++i)
+                ASSERT_EQ(reference.receptions[i], index.receptions[i])
                     << "reception " << i << " diverged at nodes=" << nodes
                     << " seed=" << seed;
-            EXPECT_EQ(brute.counters, index.counters)
+            EXPECT_EQ(reference.counters, index.counters)
                 << "obs counters diverged at nodes=" << nodes
                 << " seed=" << seed;
-            EXPECT_EQ(brute.stats.sent, index.stats.sent);
-            EXPECT_EQ(brute.stats.delivered, index.stats.delivered);
+            EXPECT_EQ(reference.stats.sent, index.stats.sent);
+            EXPECT_EQ(reference.stats.delivered, index.stats.delivered);
         }
     }
-}
-
-TEST(SpatialDelivery, EnvVarForcesBruteForce) {
-    ::setenv("PLATOON_BRUTE_FORCE_NET", "1", 1);
-    Scheduler scheduler;
-    pn::Network forced(scheduler, {}, 1);
-    ::unsetenv("PLATOON_BRUTE_FORCE_NET");
-    pn::Network normal(scheduler, {}, 1);
-    EXPECT_TRUE(forced.brute_force_delivery());
-    EXPECT_FALSE(normal.brute_force_delivery());
 }
 
 // --- VLC ------------------------------------------------------------------
@@ -190,9 +184,9 @@ TEST(SpatialDelivery, EnvVarForcesBruteForce) {
 struct VlcFixture : ::testing::Test {
     Scheduler scheduler;
 
-    std::unique_ptr<pn::Network> build(bool brute) {
+    std::unique_ptr<pn::Network> build(bool reference) {
         pn::Network::Params params;
-        params.brute_force_delivery = brute;
+        if (reference) params.spatial_slack_margin_m = kAllNodes;
         return std::make_unique<pn::Network>(scheduler, params, 5);
     }
 
@@ -211,8 +205,8 @@ TEST_F(VlcFixture, FarPlatoonsNeverAppearAsVlcNeighbors) {
     // platoon parked kilometres behind must not be returned as the rear
     // optical neighbor of the near platoon's tail, no matter that it holds
     // the nearest *registered* nodes in that direction.
-    for (const bool brute : {true, false}) {
-        auto network = build(brute);
+    for (const bool reference : {true, false}) {
+        auto network = build(reference);
         for (std::uint32_t i = 0; i < 4; ++i)
             add_vlc_node(*network, 1 + i, 100.0 - 10.0 * i);  // 100..70 m
         for (std::uint32_t i = 0; i < 4; ++i)
@@ -220,21 +214,21 @@ TEST_F(VlcFixture, FarPlatoonsNeverAppearAsVlcNeighbors) {
 
         // Interior node: both neighbors are in-platoon.
         auto [ahead, behind] = network->vlc_targets(NodeId{2});
-        EXPECT_EQ(ahead, NodeId{1}) << "brute=" << brute;
-        EXPECT_EQ(behind, NodeId{3}) << "brute=" << brute;
+        EXPECT_EQ(ahead, NodeId{1}) << "reference=" << reference;
+        EXPECT_EQ(behind, NodeId{3}) << "reference=" << reference;
 
         // Tail of the near platoon: nothing within optical range behind --
         // the far platoon is 5 km away and must not leak through.
         auto [tail_ahead, tail_behind] = network->vlc_targets(NodeId{4});
-        EXPECT_EQ(tail_ahead, NodeId{3}) << "brute=" << brute;
+        EXPECT_EQ(tail_ahead, NodeId{3}) << "reference=" << reference;
         EXPECT_FALSE(tail_behind.valid())
-            << "far platoon leaked into VLC reach, brute=" << brute;
+            << "far platoon leaked into VLC reach, reference=" << reference;
 
         // Leader of the far platoon: its forward gap to the near platoon is
         // 5 km of empty road.
         auto [far_ahead, far_behind] = network->vlc_targets(NodeId{100});
-        EXPECT_FALSE(far_ahead.valid()) << "brute=" << brute;
-        EXPECT_EQ(far_behind, NodeId{101}) << "brute=" << brute;
+        EXPECT_FALSE(far_ahead.valid()) << "reference=" << reference;
+        EXPECT_EQ(far_behind, NodeId{101}) << "reference=" << reference;
     }
 }
 
@@ -243,14 +237,14 @@ TEST_F(VlcFixture, VlcTargetsMatchBruteForceOnRandomScatter) {
     std::vector<double> xs;
     for (int i = 0; i < 40; ++i) xs.push_back(layout.uniform(0.0, 600.0));
 
-    auto brute = build(true);
+    auto reference = build(true);
     auto index = build(false);
     for (std::uint32_t i = 0; i < xs.size(); ++i) {
-        add_vlc_node(*brute, 1 + i, xs[i]);
+        add_vlc_node(*reference, 1 + i, xs[i]);
         add_vlc_node(*index, 1 + i, xs[i]);
     }
     for (std::uint32_t i = 0; i < xs.size(); ++i) {
-        const auto expect = brute->vlc_targets(NodeId{1 + i});
+        const auto expect = reference->vlc_targets(NodeId{1 + i});
         const auto got = index->vlc_targets(NodeId{1 + i});
         EXPECT_EQ(expect.first, got.first) << "node " << (1 + i);
         EXPECT_EQ(expect.second, got.second) << "node " << (1 + i);
@@ -275,13 +269,14 @@ pc::ScenarioConfig corridor_config() {
 
 TEST(SpatialDelivery, CorridorScenarioMetricsIdenticalUnderBruteForce) {
     // Full pipeline cross-check: a three-platoon corridor with maneuvers,
-    // run through both delivery paths, must produce identical metric maps
-    // -- every mean and RMS in there folds thousands of per-frame SINR
-    // draws, so this catches divergence anywhere in the stack.
-    auto run = [](bool brute) {
-        if (brute) ::setenv("PLATOON_BRUTE_FORCE_NET", "1", 1);
-        pc::Scenario scenario(corridor_config());
-        if (brute) ::unsetenv("PLATOON_BRUTE_FORCE_NET");
+    // run with the default windows and with whole-registry windows (radio
+    // and radar snapshots alike), must produce identical metric maps --
+    // every mean and RMS in there folds thousands of per-frame SINR draws,
+    // so this catches divergence anywhere in the stack.
+    auto run = [](bool reference) {
+        pc::ScenarioConfig config = corridor_config();
+        if (reference) config.network.spatial_slack_margin_m = kAllNodes;
+        pc::Scenario scenario(config);
         scenario.run_until(8.0);
         return scenario.summarize().as_map();
     };
@@ -293,7 +288,7 @@ TEST(SpatialDelivery, CorridorScenarioMetricsIdenticalUnderBruteForce) {
         ASSERT_NE(it, indexed.end()) << name;
         EXPECT_EQ(std::bit_cast<std::uint64_t>(value),
                   std::bit_cast<std::uint64_t>(it->second))
-            << name << " diverged between delivery paths";
+            << name << " diverged from the whole-registry reference";
     }
 }
 

@@ -31,9 +31,10 @@ const std::vector<RuleDoc>& all_rules() {
          "timing goes through obs::ScopedTimer (src/obs/timer.cpp is the one "
          "sanctioned reader). bench/tests/examples/tools may read it freely"},
         {kRuleUnorderedIter,
-         "iterating std::unordered_map/set in aggregation, scoring or "
-         "report-emitting code emits hash-order bytes; extract+sort the keys "
-         "or use std::map"},
+         "iterating std::unordered_map/set in simulation (src/core, src/net), "
+         "aggregation, scoring or report-emitting code makes decisions or "
+         "bytes depend on hash order; extract+sort the keys or use std::map. "
+         "Containers declared in a .cpp's own header count"},
         {kRuleOracle,
          "detectors and defenses must not read attack ground-truth "
          "(GroundTruth / *.truth / oracle_*); only detect/harness, "
@@ -125,10 +126,13 @@ bool randomness_whitelisted(const std::string& rel) {
 }
 
 bool unordered_iter_scoped(const std::string& rel) {
+    // src/core and src/net run the simulation itself: a hash-ordered loop
+    // there can steer a decision (a topology pick, an RNG draw order), not
+    // just the bytes of a report.
     static const char* kPrefixes[] = {
-        "src/core/metrics", "src/core/report",  "src/core/experiment",
-        "src/detect/score", "src/detect/bank",  "src/detect/dataset",
-        "src/eval/",        "src/obs/",         "bench/",
+        "src/core/",        "src/net/",           "src/detect/score",
+        "src/detect/bank",  "src/detect/dataset", "src/eval/",
+        "src/obs/",         "bench/",
     };
     for (const char* p : kPrefixes)
         if (starts_with(rel, p)) return true;
@@ -267,10 +271,14 @@ std::vector<std::string> identifiers_in(const std::string& expr) {
 }
 
 void check_unordered_iteration(const SourceFile& src,
+                               const SourceFile* own_header,
                                std::vector<Finding>& findings) {
     if (!unordered_iter_scoped(src.rel)) return;
     const std::string& text = src.stripped;
-    const std::set<std::string> names = unordered_decl_names(text);
+    std::set<std::string> names = unordered_decl_names(text);
+    // Members a .cpp iterates are usually declared in its own header.
+    if (own_header != nullptr)
+        names.merge(unordered_decl_names(own_header->stripped));
 
     const auto report = [&](std::size_t offset, const std::string& what) {
         findings.push_back(
@@ -457,11 +465,11 @@ std::string join_names(const std::set<std::string>& names) {
 
 }  // namespace
 
-void check_file(const SourceFile& src,
+void check_file(const SourceFile& src, const SourceFile* own_header,
                 const std::vector<IncludeEdge>& includes,
                 std::vector<Finding>& findings) {
     check_tokens(src, findings);
-    check_unordered_iteration(src, findings);
+    check_unordered_iteration(src, own_header, findings);
     check_oracle(src, findings);
     check_layering(src, includes, findings);
 }

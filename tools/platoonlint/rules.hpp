@@ -48,8 +48,9 @@ struct Finding {
     }
 };
 
-/// Runs every per-file rule on one translation unit.
-void check_file(const SourceFile& src,
+/// Runs every per-file rule on one translation unit. `own_header` is the
+/// .cpp's header (same path, .hpp or .h) when one was loaded, else null.
+void check_file(const SourceFile& src, const SourceFile* own_header,
                 const std::vector<IncludeEdge>& includes,
                 std::vector<Finding>& findings);
 

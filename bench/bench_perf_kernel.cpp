@@ -152,6 +152,17 @@ void BM_SchnorrVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrVerify);
 
+void BM_SchnorrVerifyKnownSigner(benchmark::State& state) {
+    const auto kp = crypto::KeyPair::from_seed(crypto::Bytes(32, 1));
+    const auto msg = crypto::to_bytes("beacon pos=120.5 speed=25.0 a=0.2");
+    const auto sig = crypto::sign(kp, msg);
+    const auto key = crypto::VerifyingKey::from_bytes(kp.public_bytes);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(crypto::verify(*key, msg, sig));
+    }
+}
+BENCHMARK(BM_SchnorrVerifyKnownSigner);
+
 void BM_EcdhSharedKey(benchmark::State& state) {
     const auto a = crypto::KeyPair::from_seed(crypto::Bytes(32, 1));
     const auto b = crypto::KeyPair::from_seed(crypto::Bytes(32, 2));

@@ -1,6 +1,7 @@
 #include "crypto/eddsa.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "crypto/sha256.hpp"
@@ -271,11 +272,6 @@ struct CachedPoint {
     Fe y_plus_x, y_minus_x, z2, t2d;  ///< (Y+X, Y-X, 2Z, 2d*T)
 };
 
-/// The affine variant (ge_precomp, Z = 1): one multiply fewer again, 7.
-struct AffineCachedPoint {
-    Fe y_plus_x, y_minus_x, xy2d;  ///< (y+x, y-x, 2d*x*y)
-};
-
 /// (X : Y : Z) without T (ge_p2): all a doubling reads.
 struct ProjectivePoint {
     Fe x, y, z;
@@ -337,11 +333,11 @@ CompletedPoint double_completed(const Fe& x, const Fe& y, const Fe& z) {
     return CompletedPoint{e, f, g, h};
 }
 
-/// 16p: four doublings, of which only the last computes T.
-Point double4(const Point& p) {
-    ProjectivePoint q = to_projective(double_completed(p.x, p.y, p.z));
-    q = to_projective(double_completed(q.x, q.y, q.z));
-    q = to_projective(double_completed(q.x, q.y, q.z));
+/// 2^n p for n >= 1: n doublings, of which only the last computes T.
+Point double_times(const Point& p, int n) {
+    ProjectivePoint q{p.x, p.y, p.z};
+    for (int i = 1; i < n; ++i)
+        q = to_projective(double_completed(q.x, q.y, q.z));
     return to_extended(double_completed(q.x, q.y, q.z));
 }
 
@@ -359,114 +355,114 @@ Point point_neg(const Point& p) {
     return Point{fe_neg(p.x), p.y, p.z, fe_neg(p.t)};
 }
 
-Point double_scalar_mul(const U256& a, const Point& A, const U256& b,
-                        const Point& B) {
-    const Point sum = point_add(A, B);
-    Point r = Point::identity();
-    const int top = std::max(a.top_bit(), b.top_bit());
-    for (int i = top; i >= 0; --i) {
-        r = point_double(r);
-        const bool bit_a = a.bit(i);
-        const bool bit_b = b.bit(i);
-        if (bit_a && bit_b) {
-            r = point_add(r, sum);
-        } else if (bit_a) {
-            r = point_add(r, A);
-        } else if (bit_b) {
-            r = point_add(r, B);
-        }
-    }
-    return r;
-}
-
-Point scalar_mul(const U256& k, const Point& p) {
-    Point result = Point::identity();
-    const int top = k.top_bit();
-    for (int i = top; i >= 0; --i) {
-        result = point_double(result);
-        if (k.bit(i)) result = point_add(result, p);
-    }
-    return result;
-}
-
 namespace {
-
-/// j*P for j in 1..15, in extended coordinates.
-std::array<Point, 15> small_multiples(const Point& p) {
-    std::array<Point, 15> m;
-    m[0] = p;
-    m[1] = point_double(p);
-    const CachedPoint p_cached = to_cached(p);
-    for (std::size_t j = 2; j < 15; ++j)
-        m[j] = to_extended(add_cached(m[j - 1], p_cached));
-    return m;
-}
 
 /// 15-entry window table: t[j-1] = j*P for j in 1..15, in cached form.
 using WindowTable = std::array<CachedPoint, 15>;
 
 WindowTable window_table(const Point& p) {
-    const std::array<Point, 15> m = small_multiples(p);
     WindowTable t;
-    for (std::size_t j = 0; j < 15; ++j) t[j] = to_cached(m[j]);
+    t[0] = to_cached(p);
+    Point multiple = point_double(p);
+    t[1] = to_cached(multiple);
+    for (std::size_t j = 2; j < 15; ++j) {
+        multiple = to_extended(add_cached(multiple, t[0]));
+        t[j] = to_cached(multiple);
+    }
     return t;
 }
 
-/// Comb table for the base point: comb[w][j-1] = j * 16^w * B, affine.
-/// One-time cost (magic static): the multiples are built in extended
-/// coordinates, then normalised to Z = 1 with one shared inversion
-/// (Montgomery's trick). Afterwards a fixed-base multiplication is at most
-/// 64 mixed additions and no doublings.
-using CombTable = std::array<std::array<AffineCachedPoint, 15>, 64>;
+/// Column digits of k on an 8-tooth comb: bit j of digit c is bit
+/// 32j + c of k. Tooth j spans bits [32j, 32j + 32), the half of word j/2
+/// selected by j's parity.
+using CombDigits = std::array<std::uint8_t, FixedBaseComb::kSpacing>;
 
-const CombTable& base_comb() {
-    static const CombTable comb = [] {
-        constexpr std::size_t kEntries = std::size_t{64} * 15;
-        std::vector<Point> multiples;
-        multiples.reserve(kEntries);
-        Point window_base = base_point();
-        for (std::size_t w = 0; w < 64; ++w) {
-            const std::array<Point, 15> m = small_multiples(window_base);
-            multiples.insert(multiples.end(), m.begin(), m.end());
-            // 16^(w+1) * B = 2 * (8 * 16^w * B), already in the table.
-            window_base = point_double(m[7]);
+CombDigits comb_digits(const U256& k) {
+    CombDigits digits{};
+    for (int j = 0; j < FixedBaseComb::kTeeth; ++j) {
+        const std::uint64_t tooth =
+            k.w[static_cast<std::size_t>(j / 2)] >> (32 * (j % 2));
+        for (int c = 0; c < FixedBaseComb::kSpacing; ++c)
+            digits[static_cast<std::size_t>(c)] |= static_cast<std::uint8_t>(
+                ((tooth >> c) & 1u) << j);
+    }
+    return digits;
+}
+
+/// Sum of k_i * P_i over N combs in one pass over the 32 columns, most
+/// significant first: one doubling per column after the first, shared by
+/// every term, then at most one mixed addition per term. The running sum
+/// stays in completed form, so each step pays only for the coordinates the
+/// next one reads: X, Y, Z before a doubling, T as well before an addition.
+template <std::size_t N>
+Point comb_pass(const std::array<const FixedBaseComb*, N>& combs,
+                const std::array<CombDigits, N>& digits) {
+    // The identity, (0 : 1 : 1 : 0) once its final multiplies are done.
+    CompletedPoint sum{Fe::zero(), Fe::one(), Fe::one(), Fe::one()};
+    for (int c = FixedBaseComb::kSpacing - 1; c >= 0; --c) {
+        if (c != FixedBaseComb::kSpacing - 1) {
+            const ProjectivePoint p = to_projective(sum);
+            sum = double_completed(p.x, p.y, p.z);
         }
-        // prefix[i] = Z_0 * ... * Z_i; one inversion, then walk back.
-        std::vector<Fe> prefix(kEntries);
-        Fe running = Fe::one();
-        for (std::size_t i = 0; i < kEntries; ++i) {
-            running = fe_mul(running, multiples[i].z);
-            prefix[i] = running;
+        for (std::size_t i = 0; i < N; ++i) {
+            const unsigned m = digits[i][static_cast<std::size_t>(c)];
+            if (m != 0) sum = add_affine(to_extended(sum), combs[i]->entry(m));
         }
-        Fe inv = fe_inv(running);  // (Z_0 * ... * Z_{n-1})^-1
-        CombTable c;
-        for (std::size_t k = kEntries; k > 0; --k) {
-            const std::size_t i = k - 1;
-            const Fe zinv = i > 0 ? fe_mul(inv, prefix[i - 1]) : inv;
-            inv = fe_mul(inv, multiples[i].z);
-            const Fe x = fe_mul(multiples[i].x, zinv);
-            const Fe y = fe_mul(multiples[i].y, zinv);
-            c[i / 15][i % 15] = AffineCachedPoint{
-                fe_add(y, x), fe_sub(y, x), fe_mul(fe_mul(x, y), curve_2d())};
-        }
-        return c;
-    }();
+    }
+    return to_extended(sum);
+}
+
+const FixedBaseComb& base_point_comb() {
+    static const FixedBaseComb comb(base_point());
     return comb;
 }
 
 }  // namespace
 
-Point scalar_mul_base(const U256& k) {
-    const CombTable& comb = base_comb();
-    Point acc = Point::identity();
-    for (int w = 0; w < 64; ++w) {
-        const unsigned digit = k.window4(w);
-        if (digit != 0)
-            acc = to_extended(
-                add_affine(acc, comb[static_cast<std::size_t>(w)][digit - 1]));
+FixedBaseComb::FixedBaseComb(const Point& p) {
+    // The teeth 2^(32j) P first, then every other entry as the entry
+    // without its lowest tooth plus that tooth, all in extended
+    // coordinates.
+    std::vector<Point> multiples(kEntries);
+    std::array<CachedPoint, kTeeth> teeth;
+    Point tooth = p;
+    for (int j = 0; j < kTeeth; ++j) {
+        if (j > 0) tooth = double_times(tooth, kSpacing);
+        multiples[(std::size_t{1} << j) - 1] = tooth;
+        teeth[static_cast<std::size_t>(j)] = to_cached(tooth);
     }
-    return acc;
+    for (unsigned m = 1; m <= kEntries; ++m) {
+        const unsigned lowest = m & (~m + 1);
+        if (m == lowest) continue;
+        multiples[m - 1] = to_extended(
+            add_cached(multiples[m - lowest - 1],
+                       teeth[static_cast<std::size_t>(std::countr_zero(m))]));
+    }
+    // Normalise to Z = 1 with one shared inversion (Montgomery's trick):
+    // prefix[i] = Z_0 * ... * Z_i, one inversion, then walk back.
+    std::vector<Fe> prefix(kEntries);
+    Fe running = Fe::one();
+    for (std::size_t i = 0; i < kEntries; ++i) {
+        running = fe_mul(running, multiples[i].z);
+        prefix[i] = running;
+    }
+    Fe inv = fe_inv(running);  // (Z_0 * ... * Z_{n-1})^-1
+    for (std::size_t k = kEntries; k > 0; --k) {
+        const std::size_t i = k - 1;
+        const Fe zinv = i > 0 ? fe_mul(inv, prefix[i - 1]) : inv;
+        inv = fe_mul(inv, multiples[i].z);
+        const Fe x = fe_mul(multiples[i].x, zinv);
+        const Fe y = fe_mul(multiples[i].y, zinv);
+        entries_[i] = AffineCachedPoint{fe_add(y, x), fe_sub(y, x),
+                                        fe_mul(fe_mul(x, y), curve_2d())};
+    }
 }
+
+Point comb_mul(const U256& k, const FixedBaseComb& comb) {
+    return comb_pass<1>({&comb}, {comb_digits(k)});
+}
+
+Point scalar_mul_base(const U256& k) { return comb_mul(k, base_point_comb()); }
 
 Point scalar_mul_windowed(const U256& k, const Point& p) {
     return multi_scalar_mul({{k, p}});
@@ -485,7 +481,7 @@ Point multi_scalar_mul(const std::vector<std::pair<U256, Point>>& terms) {
     const int top_window = top / 4;
     Point acc = Point::identity();
     for (int w = top_window; w >= 0; --w) {
-        if (w != top_window) acc = double4(acc);
+        if (w != top_window) acc = double_times(acc, 4);
         for (std::size_t i = 0; i < terms.size(); ++i) {
             const unsigned digit = terms[i].first.window4(w);
             if (digit != 0)
@@ -594,16 +590,17 @@ Signature sign(const KeyPair& key, BytesView msg) {
 
 namespace {
 
-/// Signature components after structural validation.
-struct ParsedSig {
+/// R, s and the challenge e of a signature after structural validation.
+/// The public key's bytes enter the challenge; decoding the key is left to
+/// the caller.
+struct SigParts {
     Point big_r;
-    Point pub;
     U256 s;  ///< < L
     U256 e;  ///< challenge hash, < L
 };
 
-std::optional<ParsedSig> parse_signature(BytesView public_key_bytes,
-                                         BytesView msg, const Signature& sig) {
+std::optional<SigParts> parse_sig_parts(BytesView public_key_bytes,
+                                        BytesView msg, const Signature& sig) {
     if (sig.bytes.size() != 96) return std::nullopt;
     const BytesView sig_view(sig.bytes);
     const auto big_r = point_from_bytes(sig_view.subspan(0, 64));
@@ -611,14 +608,27 @@ std::optional<ParsedSig> parse_signature(BytesView public_key_bytes,
     const U256 s = U256::from_le_bytes(sig_view.subspan(64, 32));
     if (cmp(s, group_order()) != std::strong_ordering::less)
         return std::nullopt;
-    const auto pub = point_from_bytes(public_key_bytes);
-    if (!pub) return std::nullopt;
     const U256 e =
         hash_to_scalar({sig_view.subspan(0, 64), public_key_bytes, msg});
-    return ParsedSig{*big_r, *pub, s, e};
+    return SigParts{*big_r, s, e};
 }
 
-/// sB == R + eP, evaluated as sB + e(-P) == R on the windowed paths.
+/// Signature components and the decoded public key.
+struct ParsedSig : SigParts {
+    Point pub;
+};
+
+std::optional<ParsedSig> parse_signature(BytesView public_key_bytes,
+                                         BytesView msg, const Signature& sig) {
+    const auto pub = point_from_bytes(public_key_bytes);
+    if (!pub) return std::nullopt;
+    const auto parts = parse_sig_parts(public_key_bytes, msg, sig);
+    if (!parts) return std::nullopt;
+    return ParsedSig{*parts, *pub};
+}
+
+/// sB == R + eP, evaluated as sB + e(-P) == R on the base-point comb and a
+/// 4-bit window over -P.
 bool verify_parsed(const ParsedSig& p) {
     const Point lhs = point_add(scalar_mul_base(p.s),
                                 scalar_mul_windowed(p.e, point_neg(p.pub)));
@@ -630,6 +640,27 @@ bool verify_parsed(const ParsedSig& p) {
 bool verify(BytesView public_key_bytes, BytesView msg, const Signature& sig) {
     const auto parsed = parse_signature(public_key_bytes, msg, sig);
     return parsed.has_value() && verify_parsed(*parsed);
+}
+
+VerifyingKey::VerifyingKey(BytesView bytes, const Point& public_key)
+    : neg_comb_(point_neg(public_key)) {
+    PLATOON_EXPECTS(bytes.size() == bytes_.size());
+    std::copy(bytes.begin(), bytes.end(), bytes_.begin());
+}
+
+std::optional<VerifyingKey> VerifyingKey::from_bytes(
+    BytesView public_key_bytes) {
+    const auto pub = point_from_bytes(public_key_bytes);
+    if (!pub) return std::nullopt;
+    return VerifyingKey(public_key_bytes, *pub);
+}
+
+bool verify(const VerifyingKey& key, BytesView msg, const Signature& sig) {
+    const auto p = parse_sig_parts(key.bytes(), msg, sig);
+    if (!p) return false;
+    const Point lhs = comb_pass<2>({&base_point_comb(), &key.neg_comb_},
+                                   {comb_digits(p->s), comb_digits(p->e)});
+    return point_equal(lhs, p->big_r);
 }
 
 Bytes dh_shared_key(const U256& my_secret, BytesView their_public_bytes) {

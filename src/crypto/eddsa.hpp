@@ -9,17 +9,34 @@
 //
 // The fast paths follow ref10 (Bernstein et al., "High-speed high-security
 // signatures", 2011): a dedicated squaring, inversion by an addition chain,
-// table entries stored in cached form (Y+X, Y-X, 2Z, 2dT) -- affine for the
-// static base-point comb -- and doubling chains that skip the T coordinate
-// whenever the next operation is another doubling. Double-and-add
-// `scalar_mul`, Shamir `double_scalar_mul` and `fe_pow` stay as the oracles
-// these paths are tested against.
+// table entries stored in cached form (Y+X, Y-X, 2Z, 2dT) -- affine for
+// fixed bases -- and doubling chains that skip the T coordinate whenever
+// the next operation is another doubling. `fe_pow` stays as the oracle the
+// inversion chain is tested against; the double-and-add point oracles live
+// with the tests.
+//
+// Every fixed base has one table shape, a Lim-Lee comb with 8 teeth and
+// spacing 32 (FixedBaseComb): the static base-point comb serves keygen,
+// signing and the batch equation's base term, and a VerifyingKey holds the
+// comb of a signer's negated key -A. verify(VerifyingKey, ...) evaluates
+// sB + e(-A) in one joint pass over both combs' 32 columns: 31 shared
+// doublings and at most 64 mixed additions. Which path a caller takes
+// depends on how often it meets the point:
+//  - a signer key verified again and again -- a certificate's CA check, a
+//    receiver's message check, the prewarm's single verifications
+//    (crypto/secured_message) -- goes through a bounded SignerKeyMemo
+//    (crypto/verdict_cache) to its VerifyingKey;
+//  - a point used once -- dh_shared_key's peer, the batch equation's terms,
+//    batch bisection's single-item leaves -- stays on the 4-bit windowed
+//    path. The memo-free verify(bytes, ...) is that path, and the
+//    reference the comb paths are tested against.
 //
 // Scalar arithmetic modulo the group order L uses crypto/u256. None of this
 // is constant-time -- it protects a *simulated* network, not real traffic.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -54,8 +71,8 @@ struct Fe {
 /// a^2 from 15 limb products instead of 25; limb-identical to fe_mul(a, a).
 [[nodiscard]] Fe fe_sq(const Fe& a);
 [[nodiscard]] Fe fe_neg(const Fe& a);
-/// a^e by square-and-multiply over the bits of e. Reference only: the
-/// per-message paths use the addition chain in fe_inv.
+/// a^e by square-and-multiply over the bits of e: fe_sqrt's exponent, and
+/// the oracle the addition chain in fe_inv is tested against.
 [[nodiscard]] Fe fe_pow(const Fe& a, const U256& e);
 /// Multiplicative inverse a^(p-2) by ref10's addition chain (254 squarings,
 /// 11 multiplies); a must be nonzero.
@@ -81,16 +98,42 @@ struct Point {
 [[nodiscard]] Point point_add(const Point& p, const Point& q);
 [[nodiscard]] Point point_double(const Point& p);
 [[nodiscard]] Point point_neg(const Point& p);
-/// Reference double-and-add. Kept as the oracle the windowed/precomputed
-/// paths below are differentially tested against; not used on hot paths.
-[[nodiscard]] Point scalar_mul(const U256& k, const Point& p);
-/// a*A + b*B via Shamir's trick (one shared doubling chain). Reference
-/// implementation; the verifier now runs on the windowed paths below.
-[[nodiscard]] Point double_scalar_mul(const U256& a, const Point& A,
-                                      const U256& b, const Point& B);
-/// k*B for the standard base point via a precomputed 4-bit comb table
-/// (64 windows x 15 multiples, stored affine in cached form): ~64 mixed
-/// additions of 7 multiplies each, no doublings.
+
+/// A point in ref10's affine cached form (ge_precomp, Z = 1): adding it to
+/// an extended point takes 7 multiplies.
+struct AffineCachedPoint {
+    Fe y_plus_x, y_minus_x, xy2d;  ///< (y+x, y-x, 2d*x*y)
+};
+
+/// Lim-Lee comb of a fixed point P (Lim & Lee, "More Flexible
+/// Exponentiation with Precomputation", CRYPTO '94) with 8 teeth and
+/// spacing 32. A 256-bit scalar k is read in 32 columns: the digit of
+/// column c (0..31) carries bit 32j + c of k as its bit j, for the teeth
+/// j = 0..7. Entry m (1..255) is the sum of 2^(32j) * P over the set bits j
+/// of m, so k*P = sum over c of 2^c * entry(digit_c): at most 31 doublings
+/// and 32 mixed additions. The 255 entries are affine in cached form,
+/// 30.6 KB. Building one costs 224 doublings, 247 additions and a single
+/// inversion, shared by every entry (Montgomery's trick).
+class FixedBaseComb {
+public:
+    static constexpr int kTeeth = 8;
+    static constexpr int kSpacing = 32;
+    static constexpr std::size_t kEntries = (std::size_t{1} << kTeeth) - 1;
+
+    explicit FixedBaseComb(const Point& p);
+
+    /// The entry for a nonzero column digit m.
+    [[nodiscard]] const AffineCachedPoint& entry(unsigned m) const {
+        return entries_[m - 1];
+    }
+
+private:
+    std::array<AffineCachedPoint, kEntries> entries_;
+};
+
+/// k*P on P's comb.
+[[nodiscard]] Point comb_mul(const U256& k, const FixedBaseComb& comb);
+/// k*B for the standard base point, on the static base-point comb.
 [[nodiscard]] Point scalar_mul_base(const U256& k);
 /// k*P via a fixed 4-bit window: the one-term case of multi_scalar_mul.
 [[nodiscard]] Point scalar_mul_windowed(const U256& k, const Point& p);
@@ -132,8 +175,36 @@ struct Signature {
 /// e = H(R || pub || msg) mod L, s = r + e*secret mod L.
 [[nodiscard]] Signature sign(const KeyPair& key, BytesView msg);
 
-/// Verifies sB == R + e*Pub.
+/// Verifies sB == R + e*Pub, as sB + e(-Pub) on the base-point comb and a
+/// 4-bit window over -Pub: the memo-free reference path, for keys seen
+/// once. The comb path below must return the same verdict for every input.
 [[nodiscard]] bool verify(BytesView public_key_bytes, BytesView msg,
+                          const Signature& sig);
+
+/// A signer's public key prepared for repeated verification: its exact
+/// 64 wire bytes and the comb of its negation -A, always built from them.
+class VerifyingKey {
+public:
+    /// nullopt when the bytes do not decode to a curve point; verify()
+    /// rejects every signature under such a key.
+    [[nodiscard]] static std::optional<VerifyingKey> from_bytes(
+        BytesView public_key_bytes);
+
+    [[nodiscard]] BytesView bytes() const { return bytes_; }
+
+private:
+    VerifyingKey(BytesView bytes, const Point& public_key);
+
+    friend bool verify(const VerifyingKey& key, BytesView msg,
+                       const Signature& sig);
+
+    std::array<std::uint8_t, 64> bytes_;
+    FixedBaseComb neg_comb_;
+};
+
+/// verify(key.bytes(), msg, sig), evaluated as sB + e(-A) == R in one
+/// joint pass over the base-point comb and the key's comb.
+[[nodiscard]] bool verify(const VerifyingKey& key, BytesView msg,
                           const Signature& sig);
 
 /// Diffie-Hellman: SHA-256 of the shared point secret_a * Pub_b. Both sides

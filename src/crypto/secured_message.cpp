@@ -212,7 +212,8 @@ bool MessageProtection::cert_signature_valid(const Certificate& cert,
         }
         Signature sig{cert.ca_signature};
         g_sig_verifies.inc();
-        const bool ok = verify(BytesView(ca_public_key_), cert.tbs(), sig);
+        const bool ok =
+            signer_keys().verify(BytesView(ca_public_key_), cert.tbs(), sig);
         cache_->store(key, ok);
         return ok;
     }
@@ -221,9 +222,14 @@ bool MessageProtection::cert_signature_valid(const Certificate& cert,
     if (verified_certs_.contains(exact)) return true;
     Signature sig{cert.ca_signature};
     g_sig_verifies.inc();
-    if (!verify(BytesView(ca_public_key_), exact.first, sig)) return false;
+    if (!signer_keys().verify(BytesView(ca_public_key_), exact.first, sig))
+        return false;
     verified_certs_.insert(std::move(exact));
     return true;
+}
+
+SignerKeyMemo& MessageProtection::signer_keys() const {
+    return cache_ != nullptr ? cache_->signer_keys() : own_signer_keys_;
 }
 
 void MessageProtection::set_group_key(BytesView key) {
@@ -413,8 +419,9 @@ VerifyResult MessageProtection::verify_and_open_impl(Envelope& envelope,
                 const auto compute_sig_ok = [&] {
                     Signature sig{envelope.tag};
                     g_sig_verifies.inc();
-                    return verify(BytesView(envelope.cert->public_key),
-                                  envelope.authenticated_bytes(), sig);
+                    return signer_keys().verify(
+                        BytesView(envelope.cert->public_key),
+                        envelope.authenticated_bytes(), sig);
                 };
                 bool sig_ok;
                 if (cache_ != nullptr) {
@@ -495,14 +502,15 @@ void prewarm_signature_verdicts(const Envelope& envelope,
     // Exactly one fact missing (steady state: known cert, fresh message):
     // a single verification, counted like the receiver-side one it replaces.
     g_sig_verifies.inc();
+    SignerKeyMemo& signers = cache.signer_keys();
     if (!cert_known.has_value()) {
-        cache.store(cert_key, verify(ca_public_key, cert.tbs(),
-                                     Signature{cert.ca_signature}));
+        cache.store(cert_key, signers.verify(ca_public_key, cert.tbs(),
+                                             Signature{cert.ca_signature}));
     } else {
         cache.store(sig_key,
-                    verify(BytesView(cert.public_key),
-                           envelope.authenticated_bytes(),
-                           Signature{envelope.tag}));
+                    signers.verify(BytesView(cert.public_key),
+                                   envelope.authenticated_bytes(),
+                                   Signature{envelope.tag}));
     }
 }
 

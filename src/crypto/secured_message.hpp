@@ -106,7 +106,8 @@ public:
     /// pay one verification; the rest count as `crypto.verify.cached`.
     /// Per-receiver checks (cert time window, CRL, replay freshness,
     /// pairwise-MAC, decryption) are never cached. nullptr (the default)
-    /// restores fully independent verification.
+    /// restores fully independent verification, with signer keys memoised
+    /// in this node's own SignerKeyMemo instead of the cache's.
     void set_verdict_cache(VerdictCache* cache) { cache_ = cache; }
     [[nodiscard]] VerdictCache* verdict_cache() const { return cache_; }
 
@@ -172,6 +173,9 @@ private:
     /// full (CA key, tbs, signature) digest.
     [[nodiscard]] bool cert_signature_valid(const Certificate& cert,
                                             CacheProbe& probe) const;
+    /// Where signatures are verified: the shared cache's signer memo when
+    /// one is installed, else this node's own.
+    [[nodiscard]] SignerKeyMemo& signer_keys() const;
 
     Config config_;
     mutable std::set<std::pair<Bytes, Bytes>> verified_certs_;  ///< (tbs, sig)
@@ -186,6 +190,7 @@ private:
     ReplayGuard replay_guard_{0.5};
     std::uint64_t next_seq_ = 1;
     VerdictCache* cache_ = nullptr;  ///< Shared, non-owning; may be null.
+    mutable SignerKeyMemo own_signer_keys_;  ///< Used while cache_ is null.
 };
 
 /// Pre-computes the receiver-independent facts of a *signed* envelope into
@@ -193,7 +198,8 @@ private:
 /// message-signature fact are unknown, the two checks are settled together
 /// by one batch-verification equation (crypto.verify.batched); a single
 /// missing fact is verified individually. Never changes a verdict -- every
-/// receiver reads the same booleans it would have computed itself. Non-
+/// receiver reads the same booleans it would have computed itself; single
+/// verifications run on the cache's signer memo. Non-
 /// signature envelopes are untouched (the first receiver populates the MAC
 /// fact instead). `scalar_bits` feeds the batch coefficients and is drawn
 /// from only when a batch actually runs.

@@ -87,24 +87,6 @@ U256 sub(const U256& a, const U256& b, bool& borrow_out) {
     return r;
 }
 
-int U512::top_bit() const {
-    for (int word = 7; word >= 0; --word) {
-        if (w[static_cast<std::size_t>(word)] != 0) {
-            return word * 64 + 63 -
-                   std::countl_zero(w[static_cast<std::size_t>(word)]);
-        }
-    }
-    return -1;
-}
-
-U512 U512::from_le_bytes(BytesView b) {
-    PLATOON_EXPECTS(b.size() <= 64);
-    U512 out;
-    for (std::size_t i = 0; i < b.size(); ++i)
-        out.w[i / 8] |= static_cast<std::uint64_t>(b[i]) << (8 * (i % 8));
-    return out;
-}
-
 U512 mul_wide(const U256& a, const U256& b) {
     U512 r;
     for (std::size_t i = 0; i < 4; ++i) {
@@ -118,56 +100,6 @@ U512 mul_wide(const U256& a, const U256& b) {
         r.w[i + 4] = static_cast<std::uint64_t>(carry);
     }
     return r;
-}
-
-namespace {
-
-// Shifts a U512 remainder-accumulator left by one bit and ORs in `in_bit`.
-void shl1(U256& x, bool in_bit) {
-    std::uint64_t carry = in_bit ? 1u : 0u;
-    for (std::size_t i = 0; i < 4; ++i) {
-        const std::uint64_t next = x.w[i] >> 63;
-        x.w[i] = (x.w[i] << 1) | carry;
-        carry = next;
-    }
-    // A carry out of the top would mean remainder >= 2^256; cannot happen
-    // because the remainder is kept < m <= 2^256-1 and shifting m-1 left
-    // by one plus one bit is < 2^257 -- we subtract m before that occurs.
-}
-
-}  // namespace
-
-U256 mod(const U512& x, const U256& m) {
-    PLATOON_EXPECTS(!m.is_zero());
-    U256 rem;
-    const int top = x.top_bit();
-    for (int i = top; i >= 0; --i) {
-        // rem = rem*2 + bit; since rem < m <= 2^256-1, rem*2+1 < 2^257.
-        // To avoid overflow past 256 bits we check the would-be carry:
-        const bool top_set = (rem.w[3] >> 63) != 0;
-        shl1(rem, x.bit(i));
-        if (top_set) {
-            // rem overflowed 2^256: rem_true = rem + 2^256; subtract m once
-            // (m > rem_true - 2^256 is impossible since m < 2^256 <= rem_true).
-            bool borrow;
-            rem = sub(rem, m, borrow);
-            // Conceptually rem_true - m = (rem - m) + 2^256*(1 - borrow...);
-            // because rem_true >= 2^256 > m, exactly one subtraction of the
-            // "+2^256" is absorbed; after it rem may still be >= m.
-        }
-        if (cmp(rem, m) != std::strong_ordering::less) {
-            bool borrow;
-            rem = sub(rem, m, borrow);
-            PLATOON_ASSERT(!borrow);
-        }
-    }
-    return rem;
-}
-
-U256 mod(const U256& x, const U256& m) {
-    U512 wide;
-    for (std::size_t i = 0; i < 4; ++i) wide.w[i] = x.w[i];
-    return mod(wide, m);
 }
 
 namespace {
@@ -260,10 +192,6 @@ U256 sub_mod(const U256& a, const U256& b, const U256& m) {
         r = add(r, m, carry);
     }
     return r;
-}
-
-U256 mul_mod(const U256& a, const U256& b, const U256& m) {
-    return mod(mul_wide(a, b), m);
 }
 
 }  // namespace platoon::crypto

@@ -2,9 +2,8 @@
 //
 // Used for scalar arithmetic modulo the edwards25519 group order L in the
 // Schnorr signature scheme. Reductions mod L are word-level (Barrett for a
-// 512-bit product, a single quotient digit for a 256-bit hash); the generic
-// binary shift-subtract `mod` is obviously correct but bit-serial, and stays
-// as the oracle the mod-L paths are tested against.
+// 512-bit product, a single quotient digit for a 256-bit hash); the
+// bit-serial reduction they are tested against lives with the tests.
 #pragma once
 
 #include <array>
@@ -57,21 +56,10 @@ U256 sub(const U256& a, const U256& b, bool& borrow_out);
 
 struct U512 {
     std::array<std::uint64_t, 8> w{};
-
-    [[nodiscard]] bool bit(int i) const {
-        return (w[static_cast<std::size_t>(i) / 64] >> (i % 64)) & 1u;
-    }
-    [[nodiscard]] int top_bit() const;
-    static U512 from_le_bytes(BytesView b);  // b.size() <= 64
 };
 
 /// Full 256x256 -> 512-bit product.
 [[nodiscard]] U512 mul_wide(const U256& a, const U256& b);
-
-/// x mod m (m != 0) via binary long division: one shift-subtract step per
-/// bit of x. The reference the mod-L reductions below are checked against.
-[[nodiscard]] U256 mod(const U512& x, const U256& m);
-[[nodiscard]] U256 mod(const U256& x, const U256& m);
 
 /// The edwards25519 group order
 /// L = 2^252 + 27742317777372353535851937790883648493.
@@ -96,7 +84,5 @@ inline constexpr U256 kGroupOrder = [] {
 [[nodiscard]] U256 add_mod(const U256& a, const U256& b, const U256& m);
 /// (a - b) mod m ; inputs must already be < m.
 [[nodiscard]] U256 sub_mod(const U256& a, const U256& b, const U256& m);
-/// (a * b) mod m.
-[[nodiscard]] U256 mul_mod(const U256& a, const U256& b, const U256& m);
 
 }  // namespace platoon::crypto

@@ -83,6 +83,24 @@ void FactKeyMemo::fill(Slot& slot, std::span<const BytesView> parts,
     }
 }
 
+bool SignerKeyMemo::verify(BytesView public_key, BytesView msg,
+                           const Signature& sig) {
+    for (const auto& key : keys_)
+        if (std::ranges::equal(key->bytes(), public_key))
+            return crypto::verify(*key, msg, sig);
+    auto fresh = VerifyingKey::from_bytes(public_key);
+    if (!fresh) return false;
+    auto key = std::make_unique<const VerifyingKey>(std::move(*fresh));
+    const bool ok = crypto::verify(*key, msg, sig);
+    if (keys_.size() < kCapacity) {
+        keys_.push_back(std::move(key));
+    } else {
+        keys_[oldest_] = std::move(key);
+        oldest_ = (oldest_ + 1) % kCapacity;
+    }
+    return ok;
+}
+
 VerdictCache::VerdictCache(std::size_t capacity) : capacity_(capacity) {
     PLATOON_EXPECTS(capacity_ > 0);
 }

@@ -17,9 +17,19 @@
 // there after a byte-for-byte comparison. The memo changes no key and no
 // lookup: every VerdictCache lookup and store still happens, in order.
 //
-// Both are bounded and fully deterministic: one instance is shared by all
-// receivers of a Scenario, lookups never iterate a map, the cache evicts in
-// insertion order and a memo slot depends only on the preimage it holds.
+// A signature fact that misses still needs a verification, and the signers
+// repeat: each key signs hundreds of beacons per run. So the cache also
+// carries a SignerKeyMemo: at most 16 VerifyingKeys (the comb of each
+// signer's negated key, 30.6 KB apiece, 0.5 MB in all) found by their exact
+// 64 public-key bytes. Certificate checks, receivers' message checks and
+// the prewarm's single verifications go through it; a hit changes cost,
+// never a verdict.
+//
+// All three are bounded and fully deterministic: one instance is shared by
+// all receivers of a Scenario (never static or thread_local), lookups never
+// iterate a map (the signer memo scans its slots for an exact match, and
+// for nothing else), the cache and the signer memo evict in insertion
+// order and a fact-key memo slot depends only on the preimage it holds.
 #pragma once
 
 #include <array>
@@ -27,12 +37,14 @@
 #include <cstdint>
 #include <deque>
 #include <initializer_list>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "crypto/bytes.hpp"
+#include "crypto/eddsa.hpp"
 
 namespace platoon::crypto {
 
@@ -79,6 +91,27 @@ private:
     std::vector<Slot> slots_;
 };
 
+/// Verifying keys by their exact public-key bytes, for signers verified
+/// many times. Holds at most kCapacity keys; a new key replaces the oldest
+/// once full. A lookup compares all 64 bytes, so a signature is only ever
+/// checked against the comb of the key it names.
+class SignerKeyMemo {
+public:
+    static constexpr std::size_t kCapacity = 16;
+
+    /// crypto::verify(public_key, msg, sig), on the key's memoised comb
+    /// (built on first sight). Same verdict for every input; a key that
+    /// does not decode is rejected without being stored.
+    [[nodiscard]] bool verify(BytesView public_key, BytesView msg,
+                              const Signature& sig);
+
+    [[nodiscard]] std::size_t size() const { return keys_.size(); }
+
+private:
+    std::vector<std::unique_ptr<const VerifyingKey>> keys_;
+    std::size_t oldest_ = 0;  ///< Slot the next new key replaces when full.
+};
+
 class VerdictCache {
 public:
     /// 32-byte fact key (a domain-separated SHA-256 digest, or a packed
@@ -99,6 +132,8 @@ public:
 
     /// The memo of fact keys shared by the same receivers.
     [[nodiscard]] FactKeyMemo& key_memo() { return key_memo_; }
+    /// The verifying keys of the signers these receivers hear.
+    [[nodiscard]] SignerKeyMemo& signer_keys() { return signer_keys_; }
 
 private:
     struct KeyHash {
@@ -119,6 +154,7 @@ private:
     std::unordered_map<Key, bool, KeyHash> map_;
     std::deque<Key> fifo_;  ///< Insertion order, drives eviction.
     FactKeyMemo key_memo_;
+    SignerKeyMemo signer_keys_;
 };
 
 }  // namespace platoon::crypto

@@ -38,7 +38,7 @@ HybridComms::Action HybridComms::on_receive(std::uint32_t sender,
             params_.require_dual_channel_beacons && !rf_jam_suspected(now);
     }
     if (!needs_dual) {
-        delivered_keys_.emplace(k, now);
+        remember_delivered(k, now);
         ++delivered_;
         return Action::kDeliver;
     }
@@ -55,7 +55,7 @@ HybridComms::Action HybridComms::on_receive(std::uint32_t sender,
     }
     // Confirmed on a second, different channel.
     pending_.erase(pending_it);
-    delivered_keys_.emplace(k, now);
+    remember_delivered(k, now);
     ++delivered_;
     return Action::kDeliver;
 }
@@ -71,11 +71,32 @@ std::size_t HybridComms::expire(sim::SimTime now) {
     });
     rejected_single_channel_ += expired;
     // Also prune the delivered-key memory (anything older than a few match
-    // windows can no longer be confused with a live message).
-    std::erase_if(delivered_keys_, [&](const auto& entry) {
-        return now - entry.second > 10.0 * params_.match_window_s;
-    });
+    // windows can no longer be confused with a live message), oldest first.
+    while (delivered_head_ < delivered_order_.size() &&
+           now - delivered_order_[delivered_head_].first >
+               10.0 * params_.match_window_s) {
+        const auto [time, k] = delivered_order_[delivered_head_++];
+        // Erase only the delivery this entry recorded.
+        const auto it = delivered_keys_.find(k);
+        if (it != delivered_keys_.end() && it->second == time)
+            delivered_keys_.erase(it);
+    }
+    // Drop the forgotten prefix once it is at least half the buffer: the
+    // entries moved never outnumber those dropped, so pruning stays
+    // amortised O(1) per delivery.
+    if (delivered_head_ * 2 >= delivered_order_.size()) {
+        delivered_order_.erase(
+            delivered_order_.begin(),
+            delivered_order_.begin() +
+                static_cast<std::ptrdiff_t>(delivered_head_));
+        delivered_head_ = 0;
+    }
     return expired;
+}
+
+void HybridComms::remember_delivered(Key k, sim::SimTime now) {
+    delivered_keys_.emplace(k, now);
+    delivered_order_.emplace_back(now, k);
 }
 
 bool HybridComms::rf_jam_suspected(sim::SimTime now) const {

@@ -14,8 +14,10 @@
 //    delivers, the policy flags jamming (used for reporting/fallback).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/channel.hpp"
@@ -54,6 +56,9 @@ public:
 
     /// Expires pending single-channel maneuvers; returns how many were
     /// rejected (heard on one channel only -- the blocked-attack counter).
+    /// Also forgets delivered keys older than ten match windows, in time
+    /// proportional to how many it forgets. `now`, here and in on_receive,
+    /// must never decrease from one call to the next.
     std::size_t expire(sim::SimTime now);
 
     /// Current jamming assessment of the RF (802.11p) channel.
@@ -84,9 +89,18 @@ private:
         net::Band first_band;
     };
 
+    void remember_delivered(Key k, sim::SimTime now);
+
     Params params_;
     std::unordered_map<Key, PendingEntry, KeyHash> pending_;
     std::unordered_map<Key, sim::SimTime, KeyHash> delivered_keys_;
+    /// delivered_keys_ in insertion order, as (delivery time, key), from
+    /// delivered_head_ on. A delivered key's time never changes, so the
+    /// oldest entries are always at the head. (A vector, not a deque: it
+    /// allocates nothing until the first delivery, and most vehicles run
+    /// without hybrid comms.)
+    std::vector<std::pair<sim::SimTime, Key>> delivered_order_;
+    std::size_t delivered_head_ = 0;
     std::uint64_t rejected_single_channel_ = 0;
     std::uint64_t duplicates_ = 0;
     std::uint64_t delivered_ = 0;

@@ -113,9 +113,6 @@ bool valid_utf8(std::string_view s) {
     return true;
 }
 
-namespace {
-
-/// Appends `segment` to a JSON Pointer (RFC 6901: "~" -> "~0", "/" -> "~1").
 void push_pointer(std::string& path, std::string_view segment) {
     path += '/';
     for (const char c : segment) {
@@ -128,6 +125,8 @@ void push_pointer(std::string& path, std::string_view segment) {
         }
     }
 }
+
+namespace {
 
 void require_utf8(const std::string& s, const std::string& path,
                   const char* what) {

@@ -87,6 +87,10 @@ private:
     Object object_;
 };
 
+/// Appends `segment` to the JSON Pointer `path` (RFC 6901: "~" -> "~0",
+/// "/" -> "~1"), for diagnostics that name a value's location.
+void push_pointer(std::string& path, std::string_view segment);
+
 /// True iff `s` is well-formed UTF-8 (RFC 3629): no stray continuation
 /// bytes, truncated or overlong sequences, surrogates, or code points above
 /// U+10FFFF.

@@ -41,8 +41,10 @@ std::map<std::string, std::uint64_t> counters_for(const pc::RunSpec& spec,
 
 TEST(VerifyDeterminism, SignedCountersBitIdenticalAcrossJobCounts) {
     const auto spec = signed_spec(true);
-    const auto serial = counters_for(spec, 1);
+    // Parallel first: the workers then race for the first use of the
+    // static base-point comb, which the TSan CI job checks.
     const auto parallel = counters_for(spec, 4);
+    const auto serial = counters_for(spec, 1);
     EXPECT_EQ(serial, parallel);
     // The fast path actually ran (a zero-vs-zero match proves nothing):
     // fan-outs were served from the shared cache and the first beacon per

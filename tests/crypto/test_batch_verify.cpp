@@ -9,9 +9,11 @@
 
 #include "crypto/eddsa.hpp"
 #include "obs/counters.hpp"
+#include "oracles.hpp"
 #include "sim/random.hpp"
 
 namespace pc = platoon::crypto;
+namespace oracle = platoon::crypto::oracle;
 using platoon::sim::RandomStream;
 
 namespace {
@@ -165,10 +167,10 @@ TEST(MultiScalarMul, MatchesSumOfIndividualMultiplications) {
         for (std::size_t i = 0; i < n; ++i) {
             pc::U256 k;
             for (auto& w : k.w) w = rng.bits();
-            k = pc::mod(k, pc::group_order());
+            k = oracle::mod(k, pc::group_order());
             const pc::Point p =
-                pc::scalar_mul(pc::U256(1000 + 7 * (i + 1)), B);
-            expected = pc::point_add(expected, pc::scalar_mul(k, p));
+                oracle::scalar_mul(pc::U256(1000 + 7 * (i + 1)), B);
+            expected = pc::point_add(expected, oracle::scalar_mul(k, p));
             terms.emplace_back(k, p);
         }
         EXPECT_TRUE(pc::point_equal(pc::multi_scalar_mul(terms), expected))

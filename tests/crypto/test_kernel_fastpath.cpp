@@ -5,13 +5,18 @@
 //  4. the cached-form tables and T-less doubling chains of scalar_mul_base,
 //     scalar_mul_windowed and multi_scalar_mul against double-and-add
 //     scalar_mul, over edge scalars;
-//  5. the fact-key memo, which must return a fresh key whenever one byte of
+//  5. the 8-tooth comb against double-and-add on every tooth and column,
+//     the joint verify pass and the signer memo against the memo-free
+//     reference verify, and keygen and signing against pinned bytes;
+//  6. the fact-key memo, which must return a fresh key whenever one byte of
 //     the payload, tag, certificate, signer key or header fields differs;
-//  6. derived MAC/encryption keys, which must follow a replaced key.
+//  7. derived MAC/encryption keys, which must follow a replaced key.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "crypto/cert.hpp"
@@ -19,9 +24,11 @@
 #include "crypto/secured_message.hpp"
 #include "crypto/u256.hpp"
 #include "crypto/verdict_cache.hpp"
+#include "oracles.hpp"
 #include "sim/random.hpp"
 
 namespace pc = platoon::crypto;
+namespace oracle = platoon::crypto::oracle;
 using platoon::sim::NodeId;
 using platoon::sim::RandomStream;
 
@@ -174,7 +181,7 @@ std::vector<pc::U512> edge_wide_values() {
 TEST(KernelModL, BarrettMatchesBitSerialMod) {
     const pc::U256& L = pc::group_order();
     for (const pc::U512& x : edge_wide_values()) {
-        EXPECT_EQ(pc::mod_l(x), pc::mod(x, L));
+        EXPECT_EQ(pc::mod_l(x), oracle::mod(x, L));
     }
 }
 
@@ -183,7 +190,7 @@ TEST(KernelModL, NarrowReductionMatchesBitSerialMod) {
     for (const pc::U512& wide : edge_wide_values()) {
         pc::U256 x;
         for (std::size_t i = 0; i < 4; ++i) x.w[i] = wide.w[i];
-        EXPECT_EQ(pc::mod_l(x), pc::mod(x, L)) << x.to_hex();
+        EXPECT_EQ(pc::mod_l(x), oracle::mod(x, L)) << x.to_hex();
     }
 }
 
@@ -193,7 +200,7 @@ TEST(KernelModL, MulModMatchesGenericMulMod) {
     for (int i = 0; i < 200; ++i) {
         const pc::U256 a = random_u256(rng);
         const pc::U256 b = random_u256(rng);
-        EXPECT_EQ(pc::mul_mod_l(a, b), pc::mul_mod(a, b, L));
+        EXPECT_EQ(pc::mul_mod_l(a, b), oracle::mul_mod(a, b, L));
     }
 }
 
@@ -235,13 +242,13 @@ std::vector<pc::Point> edge_points() {
     const pc::Point scaled{pc::fe_mul(B.x, z), pc::fe_mul(B.y, z), z,
                            pc::fe_mul(B.t, z)};
     return {B, pc::Point::identity(), order_two, scaled,
-            pc::scalar_mul(pc::U256(123456789), B)};
+            oracle::scalar_mul(pc::U256(123456789), B)};
 }
 
 TEST(KernelPointPaths, BaseCombMatchesDoubleAndAdd) {
     for (const pc::U256& k : edge_scalars()) {
         EXPECT_EQ(pc::point_to_bytes(pc::scalar_mul_base(k)),
-                  pc::point_to_bytes(pc::scalar_mul(k, pc::base_point())))
+                  pc::point_to_bytes(oracle::scalar_mul(k, pc::base_point())))
             << k.to_hex();
     }
 }
@@ -251,7 +258,7 @@ TEST(KernelPointPaths, WindowedMatchesDoubleAndAdd) {
         ASSERT_TRUE(pc::on_curve(p));
         for (const pc::U256& k : edge_scalars()) {
             EXPECT_EQ(pc::point_to_bytes(pc::scalar_mul_windowed(k, p)),
-                      pc::point_to_bytes(pc::scalar_mul(k, p)))
+                      pc::point_to_bytes(oracle::scalar_mul(k, p)))
                 << k.to_hex();
         }
     }
@@ -269,7 +276,7 @@ TEST(KernelPointPaths, MultiScalarMatchesSumOfDoubleAndAdd) {
             const pc::U256& k = ks[(start + j) % ks.size()];
             const pc::Point& p = ps[(start + j) % ps.size()];
             terms.emplace_back(k, p);
-            expected = pc::point_add(expected, pc::scalar_mul(k, p));
+            expected = pc::point_add(expected, oracle::scalar_mul(k, p));
         }
         EXPECT_EQ(pc::point_to_bytes(pc::multi_scalar_mul(terms)),
                   pc::point_to_bytes(expected))
@@ -280,12 +287,202 @@ TEST(KernelPointPaths, MultiScalarMatchesSumOfDoubleAndAdd) {
 TEST(KernelPointPaths, DoubleMatchesAddToSelfOnEdgePoints) {
     for (const pc::Point& p : edge_points()) {
         EXPECT_EQ(pc::point_to_bytes(pc::point_double(p)),
-                  pc::point_to_bytes(pc::scalar_mul(pc::U256(2), p)));
+                  pc::point_to_bytes(oracle::scalar_mul(pc::U256(2), p)));
         EXPECT_TRUE(pc::point_equal(pc::point_double(p), pc::point_add(p, p)));
     }
 }
 
-// --- 5. fact-key memo -------------------------------------------------------
+// --- 5. combs, the joint verify pass and the signer memo --------------------
+
+/// Scalars that pin the comb's tooth and column mapping: the edges, every
+/// single bit 2^i (bit 32j + c must land on tooth j of column c), one
+/// column with all 8 teeth set, and random values.
+std::vector<pc::U256> comb_scalars() {
+    const pc::U256& L = pc::group_order();
+    bool flag = false;
+    std::vector<pc::U256> ks = {pc::U256(0), pc::U256(1), pc::U256(2),
+                                pc::sub(L, pc::U256(1), flag)};
+    pc::U256 k;
+    k.w[3] = 1ull << 60;  // 2^252
+    ks.push_back(k);
+    k.w[3] = (1ull << 61) - 1;  // 2^253 - 1
+    k.w[0] = k.w[1] = k.w[2] = ~0ull;
+    ks.push_back(k);
+    k.w.fill(~0ull);  // 2^256 - 1: digit 255 in every column
+    ks.push_back(k);
+    for (int i = 0; i < 256; ++i) {
+        k = pc::U256{};
+        k.w[static_cast<std::size_t>(i / 64)] = 1ull << (i % 64);
+        ks.push_back(k);
+    }
+    k.w.fill((1ull << 5) | (1ull << 37));  // column 5 alone, all 8 teeth
+    ks.push_back(k);
+    RandomStream rng(158, "kernel.comb.scalars");
+    for (int i = 0; i < 8; ++i) ks.push_back(random_u256(rng));
+    return ks;
+}
+
+TEST(KernelComb, MatchesDoubleAndAddOnEveryToothAndColumn) {
+    const pc::KeyPair signer = pc::KeyPair::from_seed(pc::Bytes(32, 0x41));
+    RandomStream rng(159, "kernel.comb.points");
+    std::vector<pc::Point> points = edge_points();
+    points.push_back(pc::point_neg(signer.public_key));  // -A, as verify uses
+    points.push_back(oracle::scalar_mul(
+        oracle::mod(random_u256(rng), pc::group_order()), pc::base_point()));
+    const std::vector<pc::U256> ks = comb_scalars();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const pc::FixedBaseComb comb(points[i]);
+        for (const pc::U256& k : ks) {
+            ASSERT_EQ(pc::point_to_bytes(pc::comb_mul(k, comb)),
+                      pc::point_to_bytes(oracle::scalar_mul(k, points[i])))
+                << "point " << i << " scalar " << k.to_hex();
+        }
+    }
+}
+
+TEST(KernelComb, BaseCombMatchesDoubleAndAddOnEveryToothAndColumn) {
+    for (const pc::U256& k : comb_scalars()) {
+        ASSERT_EQ(pc::point_to_bytes(pc::scalar_mul_base(k)),
+                  pc::point_to_bytes(oracle::scalar_mul(k, pc::base_point())))
+            << k.to_hex();
+    }
+}
+
+/// A signed message and the variants a forger or a corrupt link produces.
+struct SignedCase {
+    const char* what;
+    pc::Bytes public_key;
+    pc::Bytes msg;
+    pc::Signature sig;
+    bool valid;
+};
+
+std::vector<SignedCase> signed_cases(const pc::KeyPair& a,
+                                     const pc::KeyPair& b, int n) {
+    std::vector<SignedCase> out;
+    for (int i = 0; i < n; ++i) {
+        const pc::Bytes msg = pc::to_bytes("comb case " + std::to_string(i));
+        const pc::Signature sig = pc::sign(a, msg);
+        out.push_back({"valid", a.public_bytes, msg, sig, true});
+        pc::Signature bad_s = sig;
+        bad_s.bytes[64 + static_cast<std::size_t>(i) % 31] ^= 0x04;  // s < L
+        out.push_back({"s corrupted", a.public_bytes, msg, bad_s, false});
+        pc::Signature big_s = sig;
+        big_s.bytes[95] = 0xFF;  // s >= L
+        out.push_back({"s out of range", a.public_bytes, msg, big_s, false});
+        pc::Signature bad_r = sig;
+        bad_r.bytes[static_cast<std::size_t>(i) % 64] ^= 0x01;
+        out.push_back({"R corrupted", a.public_bytes, msg, bad_r, false});
+        // A valid curve point for R, just not this signature's.
+        pc::Signature other_r = sig;
+        const pc::Bytes r2 = pc::point_to_bytes(
+            pc::scalar_mul_base(pc::U256(1000 + static_cast<unsigned>(i))));
+        std::copy(r2.begin(), r2.end(), other_r.bytes.begin());
+        out.push_back({"R replaced", a.public_bytes, msg, other_r, false});
+        pc::Bytes bad_msg = msg;
+        bad_msg.back() ^= 0x20;
+        out.push_back({"message corrupted", a.public_bytes, bad_msg, sig,
+                       false});
+        out.push_back({"wrong key", b.public_bytes, msg, sig, false});
+    }
+    return out;
+}
+
+TEST(KernelComb, JointVerifyPassMatchesTheReference) {
+    const pc::KeyPair a = pc::KeyPair::from_seed(pc::Bytes(32, 0x42));
+    const pc::KeyPair b = pc::KeyPair::from_seed(pc::Bytes(32, 0x43));
+    const auto key_a = pc::VerifyingKey::from_bytes(a.public_bytes);
+    const auto key_b = pc::VerifyingKey::from_bytes(b.public_bytes);
+    ASSERT_TRUE(key_a.has_value() && key_b.has_value());
+    for (const SignedCase& c : signed_cases(a, b, 6)) {
+        const bool reference = pc::verify(c.public_key, c.msg, c.sig);
+        ASSERT_EQ(reference, c.valid) << c.what;
+        const pc::VerifyingKey& key =
+            c.public_key == a.public_bytes ? *key_a : *key_b;
+        EXPECT_EQ(pc::verify(key, c.msg, c.sig), reference) << c.what;
+    }
+}
+
+TEST(KernelComb, KeysThatDoNotDecodeAreRejected) {
+    const pc::KeyPair a = pc::KeyPair::from_seed(pc::Bytes(32, 0x44));
+    const pc::Bytes msg = pc::to_bytes("off-curve key");
+    const pc::Signature sig = pc::sign(a, msg);
+    pc::Bytes off_curve = a.public_bytes;
+    off_curve[40] ^= 0x01;
+    ASSERT_FALSE(pc::verify(off_curve, msg, sig));
+    EXPECT_FALSE(pc::VerifyingKey::from_bytes(off_curve).has_value());
+    EXPECT_FALSE(pc::VerifyingKey::from_bytes(pc::Bytes(63, 0)).has_value());
+    pc::SignerKeyMemo memo;
+    EXPECT_FALSE(memo.verify(off_curve, msg, sig));
+    EXPECT_EQ(memo.size(), 0u);
+}
+
+TEST(SignerKeyMemo, CachedKeyNeverVouchesForAnotherKey) {
+    const pc::KeyPair a = pc::KeyPair::from_seed(pc::Bytes(32, 0x45));
+    const pc::KeyPair b = pc::KeyPair::from_seed(pc::Bytes(32, 0x46));
+    const pc::Bytes msg = pc::to_bytes("signed by A");
+    const pc::Signature by_a = pc::sign(a, msg);
+    pc::SignerKeyMemo memo;
+    ASSERT_TRUE(memo.verify(a.public_bytes, msg, by_a));  // A's comb cached
+    EXPECT_FALSE(memo.verify(b.public_bytes, msg, by_a));
+    // A one-byte change at either end of A's key is another key, and so is
+    // the curve point that shares A's x and negates its y: none of them
+    // may reach A's comb.
+    for (const std::size_t at : {std::size_t{0}, std::size_t{63}}) {
+        pc::Bytes near_a = a.public_bytes;
+        near_a[at] ^= 0x01;
+        EXPECT_FALSE(memo.verify(near_a, msg, by_a)) << at;
+    }
+    const pc::Point& pa = a.public_key;
+    const pc::Bytes mirrored = pc::point_to_bytes(
+        pc::Point{pa.x, pc::fe_neg(pa.y), pa.z, pc::fe_neg(pa.t)});
+    ASSERT_TRUE(std::equal(mirrored.begin(), mirrored.begin() + 32,
+                           a.public_bytes.begin()));
+    EXPECT_FALSE(pc::verify(mirrored, msg, by_a));
+    EXPECT_FALSE(memo.verify(mirrored, msg, by_a));
+    EXPECT_TRUE(memo.verify(a.public_bytes, msg, by_a));
+    EXPECT_TRUE(memo.verify(b.public_bytes, msg, pc::sign(b, msg)));
+}
+
+TEST(SignerKeyMemo, CyclingPastCapacityKeepsReferenceVerdicts) {
+    constexpr std::size_t kSigners = pc::SignerKeyMemo::kCapacity + 1;
+    std::vector<pc::KeyPair> signers;
+    for (std::size_t i = 0; i < kSigners; ++i)
+        signers.push_back(pc::KeyPair::from_seed(
+            pc::Bytes(32, static_cast<std::uint8_t>(0x60 + i))));
+    pc::SignerKeyMemo memo;
+    for (int round = 0; round < 2; ++round) {
+        for (std::size_t i = 0; i < kSigners; ++i) {
+            const pc::KeyPair& next = signers[(i + 1) % kSigners];
+            for (const SignedCase& c :
+                 signed_cases(signers[i], next, 1)) {
+                EXPECT_EQ(memo.verify(c.public_key, c.msg, c.sig),
+                          pc::verify(c.public_key, c.msg, c.sig))
+                    << "round " << round << " signer " << i << ": " << c.what;
+                EXPECT_LE(memo.size(), pc::SignerKeyMemo::kCapacity);
+            }
+        }
+    }
+    EXPECT_EQ(memo.size(), pc::SignerKeyMemo::kCapacity);
+}
+
+TEST(KernelComb, SigningKnownAnswer) {
+    // Public keys and signatures feed every certificate, fact key and
+    // golden result, so keygen and signing must not move a bit.
+    const pc::KeyPair key = pc::KeyPair::from_seed(pc::Bytes(32, 0x5A));
+    const pc::Bytes msg = pc::to_bytes("platoon comb known answer");
+    EXPECT_EQ(pc::to_hex(key.public_bytes),
+              "fcd600a11ad7b6e332f2f1bfbde4eefb325b552289a53fa1474215264427fb4b"
+              "17d47e2752f92cfdc39f0cafc9addec8352153375fd9bd8b5595cea76a38d71d");
+    const pc::Signature sig = pc::sign(key, msg);
+    EXPECT_EQ(pc::to_hex(sig.bytes),
+              "e9ec10cb133269bee917dfff0e7d57f922cc5ae8f7c0e9e0e3ac24980858e961"
+              "c524cda4930a8feb972b8184fe6437d73e676616cad5e42ef770f82a04623f37"
+              "bcf0cb7aa15cb0c3dd53230e0813035f8b650ca62405e018220e1249c7bda50d");
+    EXPECT_TRUE(pc::verify(key.public_bytes, msg, sig));
+}
+
+// --- 6. fact-key memo -------------------------------------------------------
 
 TEST(FactKeyMemo, SingleByteChangeInAnyPartMisses) {
     pc::FactKeyMemo memo(8);
@@ -487,7 +684,7 @@ TEST_F(FactKeyMemoEnvelopes, SwappedCertificateNeverReusesTheSignatureKey) {
     }
 }
 
-// --- 6. derived keys --------------------------------------------------------
+// --- 7. derived keys --------------------------------------------------------
 
 pc::MessageProtection group_node(const pc::Bytes& key, bool encrypt) {
     pc::MessageProtection::Config cfg;

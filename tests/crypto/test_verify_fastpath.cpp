@@ -20,9 +20,11 @@
 #include "crypto/secured_message.hpp"
 #include "crypto/verdict_cache.hpp"
 #include "obs/counters.hpp"
+#include "oracles.hpp"
 #include "sim/random.hpp"
 
 namespace pc = platoon::crypto;
+namespace oracle = platoon::crypto::oracle;
 using platoon::obs::counter_snapshot;
 using platoon::obs::reset_counters;
 using platoon::obs::set_enabled;
@@ -79,7 +81,7 @@ TEST(WindowedScalarMul, BaseCombMatchesDoubleAndAddBitForBit) {
     const pc::Point& B = pc::base_point();
     for (const pc::U256& k : edge_scalars()) {
         EXPECT_EQ(pc::point_to_bytes(pc::scalar_mul_base(k)),
-                  pc::point_to_bytes(pc::scalar_mul(k, B)))
+                  pc::point_to_bytes(oracle::scalar_mul(k, B)))
             << "k=" << k.to_hex();
     }
 }
@@ -89,13 +91,13 @@ TEST(WindowedScalarMul, FixedWindowMatchesDoubleAndAddOnEdgePoints) {
         pc::base_point(),
         pc::Point::identity(),
         order_two_point(),
-        pc::scalar_mul(pc::U256(99991), pc::base_point()),
+        oracle::scalar_mul(pc::U256(99991), pc::base_point()),
     };
     for (const pc::Point& p : points) {
         ASSERT_TRUE(pc::on_curve(p));
         for (const pc::U256& k : edge_scalars()) {
             EXPECT_EQ(pc::point_to_bytes(pc::scalar_mul_windowed(k, p)),
-                      pc::point_to_bytes(pc::scalar_mul(k, p)))
+                      pc::point_to_bytes(oracle::scalar_mul(k, p)))
                 << "k=" << k.to_hex();
         }
     }
@@ -123,14 +125,14 @@ TEST(WindowedScalarMul, VerifierEquationAgreesWithShamirOracle) {
         for (auto& w : s.w) w = rng.bits();
         for (auto& w : e.w) w = rng.bits();
         for (auto& w : x.w) w = rng.bits();
-        s = pc::mod(s, pc::group_order());
-        e = pc::mod(e, pc::group_order());
-        const pc::Point neg_p =
-            pc::point_neg(pc::scalar_mul(pc::mod(x, pc::group_order()), B));
-        const pc::Point oracle = pc::double_scalar_mul(s, B, e, neg_p);
+        s = oracle::mod(s, pc::group_order());
+        e = oracle::mod(e, pc::group_order());
+        const pc::Point neg_p = pc::point_neg(
+            oracle::scalar_mul(oracle::mod(x, pc::group_order()), B));
+        const pc::Point expected = oracle::double_scalar_mul(s, B, e, neg_p);
         const pc::Point fast = pc::point_add(pc::scalar_mul_base(s),
                                              pc::scalar_mul_windowed(e, neg_p));
-        EXPECT_EQ(pc::point_to_bytes(fast), pc::point_to_bytes(oracle))
+        EXPECT_EQ(pc::point_to_bytes(fast), pc::point_to_bytes(expected))
             << "i=" << i;
     }
 }
@@ -141,7 +143,7 @@ TEST(WindowedScalarMul, KeyDerivationUnchangedByCombTable) {
     for (std::uint8_t f : {1, 7, 42, 200}) {
         const auto kp = pc::KeyPair::from_seed(seedb(f));
         EXPECT_EQ(kp.public_bytes,
-                  pc::point_to_bytes(pc::scalar_mul(kp.secret,
+                  pc::point_to_bytes(oracle::scalar_mul(kp.secret,
                                                     pc::base_point())));
         const pc::Bytes msg = pc::to_bytes("fastpath key derivation");
         EXPECT_TRUE(pc::verify(pc::BytesView(kp.public_bytes),

@@ -2,6 +2,12 @@
 // fusion, onboard hardening.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "defense/hybrid_comms.hpp"
 #include "defense/onboard.hpp"
 #include "defense/policy.hpp"
@@ -155,6 +161,138 @@ TEST(HybridComms, DetectsRfSilenceAsJamming) {
     // One RF frame clears the suspicion.
     hybrid.on_receive(1, 200, pn::MsgType::kBeacon, pn::Band::kDsrc, 10.6);
     EXPECT_FALSE(hybrid.rf_jam_suspected(10.7));
+}
+
+/// HybridComms as it was when expire() swept every delivered key: the
+/// reference for the insertion-ordered pruning.
+class SweepHybridComms {
+public:
+    using Action = ps::HybridComms::Action;
+
+    explicit SweepHybridComms(ps::HybridComms::Params params)
+        : params_(params) {}
+
+    Action on_receive(std::uint32_t sender, std::uint64_t seq,
+                      pn::MsgType type, pn::Band band, double now) {
+        if (band == pn::Band::kDsrc) {
+            last_rf_rx_ = now;
+        } else {
+            recent_secondary_rx_.push_back(now);
+            if (recent_secondary_rx_.size() > 64)
+                recent_secondary_rx_.erase(recent_secondary_rx_.begin(),
+                                           recent_secondary_rx_.begin() + 32);
+        }
+        const std::uint64_t k = (static_cast<std::uint64_t>(sender) << 40) ^ seq;
+        if (delivered_keys_.contains(k)) {
+            ++duplicates;
+            return Action::kDuplicate;
+        }
+        bool needs_dual = false;
+        if (type == pn::MsgType::kManeuver) {
+            needs_dual = params_.require_dual_channel_maneuvers;
+        } else if (type == pn::MsgType::kBeacon) {
+            needs_dual =
+                params_.require_dual_channel_beacons && !rf_jam_suspected(now);
+        }
+        if (!needs_dual) {
+            delivered_keys_.emplace(k, now);
+            ++delivered;
+            return Action::kDeliver;
+        }
+        const auto pending_it = pending_.find(k);
+        if (pending_it == pending_.end()) {
+            pending_.emplace(k, std::pair{now, band});
+            return Action::kHold;
+        }
+        if (pending_it->second.second == band) {
+            pending_it->second.first = now;
+            return Action::kHold;
+        }
+        pending_.erase(pending_it);
+        delivered_keys_.emplace(k, now);
+        ++delivered;
+        return Action::kDeliver;
+    }
+
+    std::size_t expire(double now) {
+        const std::size_t expired = std::erase_if(pending_, [&](const auto& e) {
+            return now - e.second.first > params_.match_window_s;
+        });
+        rejected_single_channel += expired;
+        std::erase_if(delivered_keys_, [&](const auto& e) {
+            return now - e.second > 10.0 * params_.match_window_s;
+        });
+        return expired;
+    }
+
+    bool rf_jam_suspected(double now) const {
+        if (last_rf_rx_ >= 0.0 && now - last_rf_rx_ <= params_.jam_window_s)
+            return false;
+        const auto fresh = std::count_if(
+            recent_secondary_rx_.begin(), recent_secondary_rx_.end(),
+            [&](double t) { return now - t <= params_.jam_window_s; });
+        return fresh >= static_cast<long>(params_.jam_min_secondary);
+    }
+
+    std::uint64_t rejected_single_channel = 0;
+    std::uint64_t duplicates = 0;
+    std::uint64_t delivered = 0;
+
+private:
+    ps::HybridComms::Params params_;
+    std::map<std::uint64_t, std::pair<double, pn::Band>> pending_;
+    std::map<std::uint64_t, double> delivered_keys_;
+    double last_rf_rx_ = -1.0;
+    std::vector<double> recent_secondary_rx_;
+};
+
+TEST(HybridComms, OrderedPruningMatchesTheFullSweep) {
+    // Few senders and sequence numbers over a long horizon, so keys are
+    // delivered, duplicated, forgotten and delivered again many times.
+    ps::HybridComms::Params short_window;
+    short_window.match_window_s = 0.2;
+    ps::HybridComms::Params single_channel;
+    single_channel.require_dual_channel_beacons = false;
+    for (const auto& params :
+         {ps::HybridComms::Params{}, short_window, single_channel}) {
+        ps::HybridComms hybrid(params);
+        SweepHybridComms sweep(params);
+        RandomStream rng(157, "hybrid.expire.sequence");
+        const pn::MsgType types[] = {pn::MsgType::kBeacon,
+                                     pn::MsgType::kManeuver,
+                                     pn::MsgType::kKeyMgmt};
+        const pn::Band bands[] = {pn::Band::kDsrc, pn::Band::kDsrc,
+                                  pn::Band::kVlc, pn::Band::kCv2x};
+        double now = 0.0;
+        for (int step = 0; step < 20000; ++step) {
+            // Steps of 0 to 3/32 s: time never goes back, some steps share
+            // a timestamp, and every sum is exact in binary, so some keys
+            // sit exactly on the pruning horizon.
+            now += static_cast<double>(rng.uniform_int(4)) / 32.0;
+            if (rng.bits() % 7 == 0) {
+                ASSERT_EQ(hybrid.expire(now), sweep.expire(now)) << step;
+                continue;
+            }
+            const auto sender = static_cast<std::uint32_t>(rng.bits() % 4);
+            const std::uint64_t seq = rng.bits() % 40;
+            const pn::MsgType type = types[rng.bits() % 3];
+            const pn::Band band = bands[rng.bits() % 4];
+            ASSERT_EQ(hybrid.on_receive(sender, seq, type, band, now),
+                      sweep.on_receive(sender, seq, type, band, now))
+                << step;
+            ASSERT_EQ(hybrid.rf_jam_suspected(now),
+                      sweep.rf_jam_suspected(now))
+                << step;
+        }
+        EXPECT_EQ(hybrid.rejected_single_channel(),
+                  sweep.rejected_single_channel);
+        EXPECT_EQ(hybrid.duplicates(), sweep.duplicates);
+        EXPECT_EQ(hybrid.delivered(), sweep.delivered);
+        // The sequence exercised every outcome.
+        EXPECT_GT(sweep.rejected_single_channel, 0u);
+        EXPECT_GT(sweep.duplicates, 0u);
+        EXPECT_GT(sweep.delivered, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include <sys/wait.h>
@@ -32,12 +34,10 @@ RunResult run_diff(const std::string& args) {
     return r;
 }
 
-/// Writes a minimal schema-v1 artifact and returns its path.
-std::string write_artifact(const std::string& name, long net_sent,
-                           double verify_total_ms,
-                           bool extra_counter = false) {
-    const std::string path = testing::TempDir() + "benchdiff_" + name + ".json";
-    std::ofstream out(path);
+/// The text of a minimal schema-v1 artifact.
+std::string artifact_text(long net_sent, double verify_total_ms,
+                          bool extra_counter = false) {
+    std::ostringstream out;
     out << "{\n"
            "  \"counters\": {\n"
            "    \"crypto.verify.ok\": 100,\n";
@@ -49,15 +49,58 @@ std::string write_artifact(const std::string& name, long net_sent,
            "  \"timings_nondeterministic\": {\n"
            "    \"note\": \"advisory\",\n"
            "    \"timers\": {\n"
-           "      \"crypto.verify\": {\"calls\": 100, \"max_ms\": 1.0,\n"
+           "      \"sim.run/crypto.verify\": {\"calls\": 100, \"max_ms\": 1.0,\n"
            "        \"mean_us\": 10.0, \"total_ms\": "
         << verify_total_ms
         << "}\n"
            "    }\n"
            "  }\n"
            "}\n";
+    return out.str();
+}
+
+std::string write_text(const std::string& name, const std::string& text) {
+    const std::string path = testing::TempDir() + "benchdiff_" + name + ".json";
+    std::ofstream out(path);
+    out << text;
     EXPECT_TRUE(out.good());
     return path;
+}
+
+/// Writes a minimal schema-v1 artifact and returns its path.
+std::string write_artifact(const std::string& name, long net_sent,
+                           double verify_total_ms,
+                           bool extra_counter = false) {
+    return write_text(name,
+                      artifact_text(net_sent, verify_total_ms, extra_counter));
+}
+
+/// Writes a valid artifact with one substring replaced and returns its path.
+std::string write_edited(const std::string& name, const std::string& from,
+                         const std::string& to) {
+    std::string text = artifact_text(500, 20.0);
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return write_text(name, text);
+}
+
+/// An artifact that breaks schema v1 must fail as a usage/IO error, on
+/// either side, naming the file and the JSON Pointer of the bad value.
+void expect_schema_rejection(const std::string& name, const std::string& from,
+                             const std::string& to,
+                             const std::string& pointer) {
+    const std::string good = write_artifact(name + "_good", 500, 20.0);
+    const std::string bad = write_edited(name + "_bad", from, to);
+    for (const std::string& args : {good + " " + bad, bad + " " + good,
+                                    bad + " " + good + " --counters-only"}) {
+        const RunResult r = run_diff(args);
+        EXPECT_EQ(r.exit_code, 3) << args << "\n" << r.output;
+        EXPECT_NE(r.output.find(bad + ": " + pointer + ":"), std::string::npos)
+            << r.output;
+        EXPECT_EQ(r.output.find("benchdiff: OK"), std::string::npos)
+            << r.output;
+    }
 }
 
 TEST(Benchdiff, IdenticalArtifactsExitZero) {
@@ -131,6 +174,52 @@ TEST(Benchdiff, MalformedJsonExitsThree) {
     std::ofstream(bad) << "{not json";
     const RunResult r = run_diff(good + " " + bad);
     EXPECT_EQ(r.exit_code, 3) << r.output;
+}
+
+TEST(Benchdiff, OtherSchemaVersionExitsThree) {
+    expect_schema_rejection("sv", "\"schema_version\": 1",
+                            "\"schema_version\": 7", "/schema_version");
+}
+
+TEST(Benchdiff, StringCounterExitsThree) {
+    expect_schema_rejection("sc", "\"crypto.verify.ok\": 100",
+                            "\"crypto.verify.ok\": \"12\"",
+                            "/counters/crypto.verify.ok");
+}
+
+TEST(Benchdiff, NegativeCounterExitsThree) {
+    expect_schema_rejection("nc", "\"net.sent\": 500", "\"net.sent\": -5",
+                            "/counters/net.sent");
+}
+
+TEST(Benchdiff, BooleanCounterExitsThree) {
+    expect_schema_rejection("bc", "\"net.sent\": 500", "\"net.sent\": true",
+                            "/counters/net.sent");
+}
+
+TEST(Benchdiff, MisspelledTimersKeyExitsThree) {
+    expect_schema_rejection("mt", "\"timers\"", "\"timer\"",
+                            "/timings_nondeterministic/timers");
+}
+
+TEST(Benchdiff, StringTotalMsExitsThree) {
+    // The timer path's "/" is escaped as "~1" in the pointer (RFC 6901).
+    expect_schema_rejection(
+        "st", "\"total_ms\": 20", "\"total_ms\": \"20\"",
+        "/timings_nondeterministic/timers/sim.run~1crypto.verify/total_ms");
+}
+
+TEST(Benchdiff, CommittedBaselinesPassTheSchema) {
+    int checked = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(PLATOON_BASELINE_DIR)) {
+        if (entry.path().extension() != ".json") continue;
+        const std::string path = entry.path().string();
+        const RunResult r = run_diff(path + " " + path);
+        EXPECT_EQ(r.exit_code, 0) << path << "\n" << r.output;
+        ++checked;
+    }
+    EXPECT_GT(checked, 0);
 }
 
 TEST(Benchdiff, UnknownFlagExitsThree) {

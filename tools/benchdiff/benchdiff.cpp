@@ -12,7 +12,9 @@
 //   1  perf regression: counters identical, but a timer slowed past the
 //      threshold (suppressed by --counters-only)
 //   2  counter mismatch: the deterministic section drifted
-//   3  usage or IO error (bad flags, unreadable/unparsable artifact)
+//   3  usage or IO error (bad flags, unreadable/unparsable artifact, or
+//      one that breaks schema v1 -- the message names the file and the
+//      JSON Pointer of the offending value)
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -22,11 +24,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/export.hpp"
 #include "obs/json.hpp"
 
 namespace {
 
 using platoon::obs::Json;
+using platoon::obs::push_pointer;
 
 constexpr int kExitOk = 0;
 constexpr int kExitPerfRegression = 1;
@@ -125,6 +129,49 @@ std::optional<Json> load_artifact(const std::string& path) {
         return std::nullopt;
     }
     return json;
+}
+
+/// Checks an artifact against schema v1 (src/obs/export.hpp): the schema
+/// version, a counter section of non-negative integers, and a timer section
+/// whose entries carry numeric calls and total_ms. On the first violation
+/// prints the file and the JSON Pointer of the offending value and returns
+/// false.
+bool check_schema(const Json& artifact, const std::string& path) {
+    const auto reject = [&path](const std::string& pointer,
+                                const std::string& expected) {
+        std::fprintf(stderr, "benchdiff: %s: %s: expected %s\n", path.c_str(),
+                     pointer.c_str(), expected.c_str());
+        return false;
+    };
+    const Json& version = artifact.at("schema_version");
+    if (!version.is_int() || version.as_int() != platoon::obs::kSchemaVersion)
+        return reject("/schema_version",
+                      std::to_string(platoon::obs::kSchemaVersion));
+    const Json& counters = artifact.at("counters");
+    if (!counters.is_object()) return reject("/counters", "an object");
+    for (const auto& [name, value] : counters.as_object()) {
+        if (value.is_int() && value.as_int() >= 0) continue;
+        std::string pointer = "/counters";
+        push_pointer(pointer, name);
+        return reject(pointer, "a non-negative integer");
+    }
+    const std::string timings_pointer = "/timings_nondeterministic";
+    const Json& timings = artifact.at("timings_nondeterministic");
+    if (!timings.is_object()) return reject(timings_pointer, "an object");
+    const std::string timers_pointer = timings_pointer + "/timers";
+    const Json& timers = timings.at("timers");
+    if (!timers.is_object()) return reject(timers_pointer, "an object");
+    for (const auto& [timer, stat] : timers.as_object()) {
+        std::string pointer = timers_pointer;
+        push_pointer(pointer, timer);
+        if (!stat.is_object()) return reject(pointer, "an object");
+        for (const char* field : {"calls", "total_ms"}) {
+            if (stat.at(field).is_number()) continue;
+            push_pointer(pointer, field);
+            return reject(pointer, "a number");
+        }
+    }
+    return true;
 }
 
 /// One row of the delta report.
@@ -265,15 +312,9 @@ int main(int argc, char** argv) {
     const std::optional<Json> candidate = load_artifact(opt->candidate_path);
     if (!baseline || !candidate) return kExitUsage;
 
-    for (const Json* artifact : {&*baseline, &*candidate}) {
-        if (!artifact->at("counters").is_object() ||
-            !artifact->at("timings_nondeterministic").is_object()) {
-            std::fprintf(stderr,
-                         "benchdiff: artifact missing counters/"
-                         "timings_nondeterministic sections\n");
-            return kExitUsage;
-        }
-    }
+    if (!check_schema(*baseline, opt->baseline_path) ||
+        !check_schema(*candidate, opt->candidate_path))
+        return kExitUsage;
 
     std::vector<Delta> deltas;
     const bool counters_identical = diff_counters(

@@ -5,8 +5,6 @@
 //    gracefully does each degrade? (Also quantifies the fuel value of
 //    tight CACC gaps -- the platooning benefit the attacks destroy.)
 //  - DoS request-rate sweep vs legitimate-join success, open vs signed.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -134,33 +132,14 @@ void dos_rate_sweep() {
     table.print(std::cout);
 }
 
-void BM_ControllerScenario(benchmark::State& state) {
-    const auto type =
-        static_cast<platoon::control::ControllerType>(state.range(0));
-    for (auto _ : state) {
-        auto config = pb::eval_config();
-        config.controller = type;
-        pc::Scenario scenario(config);
-        scenario.run_until(30.0);
-        benchmark::DoNotOptimize(scenario.summarize().spacing_rms_m);
-    }
-}
-BENCHMARK(BM_ControllerScenario)
-    ->Arg(static_cast<int>(platoon::control::ControllerType::kCaccPath))
-    ->Arg(static_cast<int>(platoon::control::ControllerType::kCaccPloeg))
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     pb::obs_init();
     pb::print_jobs_banner("bench_ablation_control");
     controller_loss_sweep();
     dos_rate_sweep();
     pb::write_bench_json("bench_ablation_control",
                          "controller robustness sweeps", 42);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,8 +6,6 @@
 //  - VPD-ADA detector: detection latency vs false positives across the
 //    gap-discrepancy threshold (an ROC-style sweep).
 //  - Pseudonym rotation period vs eavesdropper linkability.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -220,24 +218,9 @@ void rogue_rsu_postures() {
     table.print(std::cout);
 }
 
-void BM_FadingKeyAgreement(benchmark::State& state) {
-    platoon::sim::RandomStream chan(7, "bm.fka");
-    std::vector<double> alice(512), bob(512);
-    double g = 0.0;
-    for (std::size_t i = 0; i < alice.size(); ++i) {
-        g = 0.3 * g + chan.normal(0.0, 4.0);
-        alice[i] = g + chan.normal(0.0, 0.3);
-        bob[i] = g + chan.normal(0.0, 0.3);
-    }
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(pcr::agree(alice, bob));
-    }
-}
-BENCHMARK(BM_FadingKeyAgreement);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     pb::obs_init();
     pb::print_jobs_banner("bench_ablation_defense");
     fka_noise_sweep();
@@ -247,7 +230,5 @@ int main(int argc, char** argv) {
     rogue_rsu_postures();
     pb::write_bench_json("bench_ablation_defense",
                          "defense-parameter sweeps", 42);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -6,8 +6,6 @@
 //    platoon disbands" (Section V-B) -- where is the cliff, and how does the
 //    SP-VLC hybrid change it?
 //  - Sybil ghost-count sweep: marginal damage per fabricated identity.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -134,21 +132,9 @@ void sybil_ghost_sweep() {
     table.print(std::cout);
 }
 
-void BM_JammedScenario(benchmark::State& state) {
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(run_with(
-            [](pc::Scenario&) -> std::unique_ptr<platoon::security::Attack> {
-                return std::make_unique<ps::JammingAttack>();
-            },
-            false, static_cast<std::uint64_t>(state.range(0))));
-    }
-}
-BENCHMARK(BM_JammedScenario)->Arg(1)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     pb::obs_init();
     pb::print_jobs_banner("bench_ablation_sweeps");
     replay_rate_sweep();
@@ -156,7 +142,5 @@ int main(int argc, char** argv) {
     sybil_ghost_sweep();
     pb::write_bench_json("bench_ablation_sweeps",
                          "attack-parameter sweeps (replay/jam/sybil)", 42);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

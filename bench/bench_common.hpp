@@ -5,8 +5,6 @@
 // under platoon::bench and adds the bench-side PLATOON_JOBS plumbing.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
 #include "core/report.hpp"
 #include "eval/harness.hpp"
 #include "scen/schema.hpp"
@@ -56,8 +54,8 @@ void obs_init();
 
 /// Writes BENCH_<bench>.json (counters + manifest + timings) to
 /// $PLATOON_BENCH_JSON_DIR or the working directory. Must run AFTER the
-/// deterministic table phase and BEFORE benchmark::RunSpecifiedBenchmarks():
-/// google-benchmark picks iteration counts dynamically, which would leak
+/// deterministic table phase; bench_perf_kernel also calls it BEFORE its
+/// google-benchmark loops, whose dynamic iteration counts would leak
 /// machine-dependent totals into the counter section.
 void write_bench_json(const char* bench, const char* scenario,
                       std::uint64_t seed);

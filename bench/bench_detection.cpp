@@ -8,8 +8,6 @@
 //
 // Banners go to stderr; every table goes to stdout and is byte-identical at
 // any PLATOON_JOBS count (the grids fold in cell/seed order).
-#include <benchmark/benchmark.h>
-
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -141,44 +139,22 @@ void export_dataset(const std::string& path) {
               << " labeled rows to " << path << "\n";
 }
 
-void BM_DetectionScenario(benchmark::State& state) {
-    const auto kind = static_cast<pc::AttackKind>(state.range(0));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(pd::run_detection_once(
-            pd::detection_config(), kind, true, {}, /*keep_dataset=*/false));
-    }
-    state.SetLabel(pc::to_string(kind));
-}
-BENCHMARK(BM_DetectionScenario)
-    ->Arg(static_cast<int>(pc::AttackKind::kReplay))
-    ->Arg(static_cast<int>(pc::AttackKind::kMalware))
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
     pb::obs_init();
     pb::print_jobs_banner("bench_detection");
 
-    // Peel off --export-dataset=PATH before google-benchmark sees argv.
     std::string export_path;
-    int kept = 1;
     for (int i = 1; i < argc; ++i) {
         constexpr const char* kFlag = "--export-dataset=";
-        if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0) {
+        if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0)
             export_path = argv[i] + std::strlen(kFlag);
-        } else {
-            argv[kept++] = argv[i];
-        }
     }
-    argc = kept;
 
     run_and_print();
     if (!export_path.empty()) export_dataset(export_path);
     pb::write_bench_json("bench_detection",
                          "Table IV misbehavior-detection grid", 42);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

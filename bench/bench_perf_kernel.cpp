@@ -11,8 +11,10 @@
 #include "core/scenario.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/eddsa.hpp"
+#include "crypto/fading_key_agreement.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
+#include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -172,6 +174,21 @@ void BM_EcdhSharedKey(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_EcdhSharedKey);
+
+void BM_FadingKeyAgreement(benchmark::State& state) {
+    sim::RandomStream chan(7, "bm.fka");
+    std::vector<double> alice(512), bob(512);
+    double g = 0.0;
+    for (std::size_t i = 0; i < alice.size(); ++i) {
+        g = 0.3 * g + chan.normal(0.0, 4.0);
+        alice[i] = g + chan.normal(0.0, 0.3);
+        bob[i] = g + chan.normal(0.0, 0.3);
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(crypto::agree(alice, bob));
+    }
+}
+BENCHMARK(BM_FadingKeyAgreement);
 
 // Wall-clock speedup of the parallel experiment runner: the same 16-seed
 // replication set at jobs=1 vs PLATOON_JOBS (default: hardware concurrency).

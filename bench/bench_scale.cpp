@@ -13,8 +13,6 @@
 // stderr and to the timings section of BENCH_bench_scale.json only; the
 // counter section carries the deterministic per-tier event/message totals
 // that benchdiff --counters-only gates.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -233,35 +231,14 @@ void run_and_print() {
     }
 }
 
-void BM_ScaleTier(benchmark::State& state) {
-    // Loaded lazily: the benchmark phase runs after write_bench_json, so
-    // nothing here can leak into the counter artifact.
-    static const auto compiled = pb::load_scenario("scale_corridor");
-    const auto platoons = static_cast<std::size_t>(state.range(0));
-    const pc::ScenarioConfig config =
-        tier_config(compiled.cells[0], platoons);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            run_scale_once(config, compiled.cells[0].attack, false));
-    }
-    state.SetLabel(std::to_string(platoons) + " platoons");
-}
-BENCHMARK(BM_ScaleTier)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     pb::obs_init();
     pb::print_jobs_banner("bench_scale");
     run_and_print();
     pb::write_bench_json("bench_scale",
                          "Highway-scale corridor tier sweep (scale_corridor)",
                          42);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

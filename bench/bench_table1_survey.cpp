@@ -2,8 +2,6 @@
 // machine-readable taxonomy, cross-checked against the implemented attack
 // suite (every platoon-communication attack named by the paper maps to a
 // runnable class in security/attacks).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <sstream>
 
@@ -55,28 +53,11 @@ void print_table1() {
     check.print(std::cout);
 }
 
-void BM_TaxonomyLookup(benchmark::State& state) {
-    const auto& tax = pc::Taxonomy::instance();
-    for (auto _ : state) {
-        for (int k = 0; k < static_cast<int>(pc::AttackKind::kCount_); ++k) {
-            benchmark::DoNotOptimize(
-                tax.attack(static_cast<pc::AttackKind>(k)).summary.data());
-        }
-        for (int d = 0; d < static_cast<int>(pc::DefenseKind::kCount_); ++d) {
-            benchmark::DoNotOptimize(tax.mitigates(
-                static_cast<pc::DefenseKind>(d), pc::AttackKind::kReplay));
-        }
-    }
-}
-BENCHMARK(BM_TaxonomyLookup);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     pb::obs_init();
     print_table1();
     pb::write_bench_json("bench_table1_survey", "Table I survey (static)", 0);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

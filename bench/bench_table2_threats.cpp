@@ -5,8 +5,6 @@
 // Per attack: a clean baseline and an attacked run (3 seeds each), the
 // attack's headline metric, and the paper's claim checked against the
 // measured direction.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
 
@@ -107,21 +105,6 @@ std::vector<Row> run_all() {
     return rows;
 }
 
-void BM_AttackedScenario(benchmark::State& state) {
-    const auto kind = static_cast<pc::AttackKind>(state.range(0));
-    for (auto _ : state) {
-        auto config = pb::eval_config();
-        benchmark::DoNotOptimize(pb::run_eval(config, kind, true, 1));
-    }
-    state.SetLabel(pc::to_string(kind));
-}
-BENCHMARK(BM_AttackedScenario)
-    ->Arg(static_cast<int>(pc::AttackKind::kReplay))
-    ->Arg(static_cast<int>(pc::AttackKind::kJamming))
-    ->Arg(static_cast<int>(pc::AttackKind::kSybil))
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
 void print_risk_register(const std::vector<Row>& rows) {
@@ -149,7 +132,7 @@ void print_risk_register(const std::vector<Row>& rows) {
     table.print(std::cout);
 }
 
-int main(int argc, char** argv) {
+int main() {
     pb::obs_init();
     pb::print_jobs_banner("bench_table2_threats");
     const auto rows = run_all();
@@ -158,7 +141,5 @@ int main(int argc, char** argv) {
     pb::write_bench_json("bench_table2_threats",
                          "Table II grid: 9 attacks x clean/attacked x 3 seeds",
                          42);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

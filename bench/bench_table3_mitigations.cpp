@@ -3,8 +3,6 @@
 // enabled and grade how much of the attack's damage it removed. The matrix
 // sign is then compared against the paper's Table III mapping: agreement,
 // "measured better than claimed" (our superset findings), or mismatch.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -121,32 +119,13 @@ void run_and_print() {
     open.print(std::cout);
 }
 
-void BM_DefendedScenario(benchmark::State& state) {
-    const auto defense = static_cast<pc::DefenseKind>(state.range(0));
-    for (auto _ : state) {
-        auto config = pb::eval_config();
-        pb::apply_defense(config, defense);
-        benchmark::DoNotOptimize(
-            pb::run_eval(config, pc::AttackKind::kReplay, true, 1));
-    }
-    state.SetLabel(pc::to_string(defense));
-}
-BENCHMARK(BM_DefendedScenario)
-    ->Arg(static_cast<int>(pc::DefenseKind::kSecretPublicKeys))
-    ->Arg(static_cast<int>(pc::DefenseKind::kControlAlgorithms))
-    ->Arg(static_cast<int>(pc::DefenseKind::kHybridCommunications))
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     pb::obs_init();
     pb::print_jobs_banner("bench_table3_mitigations");
     run_and_print();
     pb::write_bench_json("bench_table3_mitigations",
                          "Table III defense-vs-attack grid", 42);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

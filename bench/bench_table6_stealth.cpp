@@ -18,8 +18,6 @@
 // lets the static attacker catch back up to the shaped one fails CI.
 // PLATOON_STEALTH_REQUIRE_WIN=1 additionally turns "no kind produced a
 // stealthy win" into exit 3 (the stealth-regression job arms it).
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -220,40 +218,14 @@ void run_and_print() {
     }
 }
 
-void BM_StealthReplication(benchmark::State& state) {
-    // One candidate evaluation (the search's unit of work): a seeded
-    // detection replication under the profiled attack. Loaded lazily --
-    // the benchmark phase runs after write_bench_json, so nothing here can
-    // leak into the counter artifact.
-    static const ps::Compiled compiled = pb::load_scenario("stealth_frontier");
-    const pd::StealthSpec spec =
-        pd::stealth_spec_from(*compiled.stealth, compiled.description.seed);
-    pd::StealthSpec one = spec;
-    one.injections = {stealth::InjectionKind::kSensorSpoof};
-    one.cem_iterations = 0;
-    one.seeds = {compiled.description.seed};
-    stealth::ProfileBounds tiny;
-    tiny.amplitude_steps = 1;
-    tiny.ramp_steps = 1;
-    tiny.duty_steps = 1;
-    one.bounds = tiny;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(pd::run_stealth_frontier(
-            compiled.cells.front().config, one, pb::jobs()));
-    }
-}
-BENCHMARK(BM_StealthReplication)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     pb::obs_init();
     pb::print_jobs_banner("bench_table6_stealth");
     run_and_print();
     pb::write_bench_json("bench_table6_stealth",
                          "Stealth-impact Pareto frontier (stealth_frontier)",
                          42);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -13,8 +13,6 @@
 // A misbehavior stack that revokes a truck with a rain-faded radio is
 // measured here, not discovered in deployment. Banners go to stderr; every
 // table goes to stdout and is byte-identical at any PLATOON_JOBS count.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -150,33 +148,13 @@ void run_and_print() {
     headline.print(std::cout);
 }
 
-void BM_FaultedScenario(benchmark::State& state) {
-    // Loaded lazily: the benchmark phase runs after write_bench_json, so
-    // nothing here can leak into the counter artifact.
-    static const auto compiled = pb::load_scenario("table_faults");
-    const ps::CompiledCell& cell =
-        compiled.cells[1 + 2 * static_cast<std::size_t>(state.range(0))];
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            pb::run_eval_once(cell.config, cell.attack, false));
-    }
-    state.SetLabel(cell.fault);
-}
-BENCHMARK(BM_FaultedScenario)
-    ->Arg(0)  // burst-loss
-    ->Arg(1)  // node-crash
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     pb::obs_init();
     pb::print_jobs_banner("bench_table_faults");
     run_and_print();
     pb::write_bench_json("bench_table_faults",
                          "Table V benign-fault vs attack grid", 42);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

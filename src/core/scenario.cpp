@@ -299,13 +299,6 @@ PlatoonVehicle& Scenario::vehicle(std::size_t index) {
     return *vehicles_[index];
 }
 
-PlatoonVehicle* Scenario::find(sim::NodeId id) {
-    for (auto& v : vehicles_) {
-        if (v->id() == id) return v.get();
-    }
-    return nullptr;
-}
-
 PlatoonVehicle& Scenario::tail() {
     PLATOON_EXPECTS(!vehicles_.empty());
     return *vehicles_[config_.platoon_size - 1];

@@ -116,7 +116,6 @@ public:
 
     [[nodiscard]] std::size_t vehicle_count() const { return vehicles_.size(); }
     [[nodiscard]] PlatoonVehicle& vehicle(std::size_t index);
-    [[nodiscard]] PlatoonVehicle* find(sim::NodeId id);
     [[nodiscard]] PlatoonVehicle& leader() { return vehicle(0); }
     [[nodiscard]] PlatoonVehicle& tail();
     [[nodiscard]] std::vector<rsu::RsuNode*> rsus();

@@ -15,7 +15,7 @@
 //     "overrides": { ... },                // applied to every grid (below)
 //     "fault_presets": {                   // named fault::FaultPlan blocks
 //       "burst-loss": {"burst_loss": [{"start_s": 20.0, ...}]},
-//       ...
+//       ...                                // "none" and "all" are reserved
 //     },
 //     "grids": [                           // required, concatenated in order
 //       {
@@ -80,13 +80,34 @@
 //
 // Composition order per cell: base profile, then top-level overrides, then
 // grid overrides, then the defense mechanism (the defense axis wins over a
-// conflicting override), then the fault preset.
+// conflicting override), then the fault preset. Overrides are bound once:
+// the top-level block onto the base profile, each grid's block onto a copy
+// of that, and every cell of the grid copies the grid's config.
+//
+// One field binder reads every object a description can hold: the top
+// level, a grid and its axes, overrides, security, platoons[], corridor[],
+// stealth with its three search axes and cem, and a fault preset with its
+// four item kinds. Each is a static table of fields -- key, reader (type
+// and bounds), the member it writes, and whether it is required. Binding an
+// object rejects the first key outside its table (with a "did you mean"
+// and the sorted key list), reads the present fields in table order, then
+// runs the block's cross-field check (max >= min, elites <= population,
+// horizon_s > start_s, end_s > start_s, a preset defines some fault).
 //
 // Validation produces one actionable error with a JSON path: unknown keys,
 // unknown names (with a "did you mean" suggestion), out-of-range values,
 // duplicate axis entries, and incompatible combinations (encrypt-only with
 // no authenticated mode; a clock-drift fault where no receiver checks
-// timestamps; a fault aimed at a vehicle index outside the platoon).
+// timestamps; a fault aimed at a vehicle index outside the platoon). Two
+// rules follow from the binder:
+//   - An explicit null is a value, never an absent key: it fails the
+//     field's type check like any other wrong type.
+//   - Of several faults in one document, the first in structure order is
+//     reported: a block's unknown keys, then its fields in table order,
+//     then its cross-field check. The top-level fields and overrides come
+//     before any grid; each grid's fields come before its cells' checks.
+//     Security, overrides and a fault preset list their fields in key
+//     order.
 #pragma once
 
 #include <cstdint>

@@ -47,7 +47,6 @@ public:
     /// called exactly once, before the scenario runs past `window.start_s`.
     virtual void attach(core::Scenario& scenario) = 0;
 
-    [[nodiscard]] virtual std::string name() const = 0;
     [[nodiscard]] virtual core::AttackKind kind() const = 0;
 
     /// Merges attack-side outcome metrics (attacker's view) into `out`.

@@ -24,9 +24,6 @@ public:
     explicit DosAttack(Params params) : params_(params) {}
 
     void attach(core::Scenario& scenario) override;
-    [[nodiscard]] std::string name() const override {
-        return "denial-of-service";
-    }
     [[nodiscard]] core::AttackKind kind() const override {
         return core::AttackKind::kDenialOfService;
     }

@@ -28,7 +28,6 @@ public:
     explicit EavesdropAttack(Params params) : params_(params) {}
 
     void attach(core::Scenario& scenario) override;
-    [[nodiscard]] std::string name() const override { return "eavesdropping"; }
     [[nodiscard]] core::AttackKind kind() const override {
         return core::AttackKind::kEavesdropping;
     }

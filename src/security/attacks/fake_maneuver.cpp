@@ -6,15 +6,6 @@
 
 namespace platoon::security {
 
-std::string FakeManeuverAttack::name() const {
-    switch (params_.variant) {
-        case Variant::kGapOpen: return "fake-maneuver/gap-open";
-        case Variant::kSplit: return "fake-maneuver/split";
-        case Variant::kDissolve: return "fake-maneuver/dissolve";
-    }
-    return "fake-maneuver";
-}
-
 void FakeManeuverAttack::attach(core::Scenario& scenario) {
     PLATOON_EXPECTS(radio_ == nullptr);
     scenario_ = &scenario;

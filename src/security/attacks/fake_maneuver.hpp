@@ -35,7 +35,6 @@ public:
     explicit FakeManeuverAttack(Params params) : params_(params) {}
 
     void attach(core::Scenario& scenario) override;
-    [[nodiscard]] std::string name() const override;
     [[nodiscard]] core::AttackKind kind() const override {
         return core::AttackKind::kFakeManeuver;
     }

@@ -31,7 +31,6 @@ public:
     explicit GpsSpoofAttack(Params params) : params_(params) {}
 
     void attach(core::Scenario& scenario) override;
-    [[nodiscard]] std::string name() const override { return "gps-spoofing"; }
     [[nodiscard]] core::AttackKind kind() const override {
         return core::AttackKind::kSensorSpoofing;
     }

@@ -30,7 +30,6 @@ public:
     explicit ImpersonationAttack(Params params) : params_(params) {}
 
     void attach(core::Scenario& scenario) override;
-    [[nodiscard]] std::string name() const override { return "impersonation"; }
     [[nodiscard]] core::AttackKind kind() const override {
         return core::AttackKind::kImpersonation;
     }

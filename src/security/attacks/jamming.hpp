@@ -25,7 +25,6 @@ public:
     explicit JammingAttack(Params params) : params_(params) {}
 
     void attach(core::Scenario& scenario) override;
-    [[nodiscard]] std::string name() const override { return "jamming"; }
     [[nodiscard]] core::AttackKind kind() const override {
         return core::AttackKind::kJamming;
     }

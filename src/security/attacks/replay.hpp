@@ -29,7 +29,6 @@ public:
     explicit ReplayAttack(Params params) : params_(params) {}
 
     void attach(core::Scenario& scenario) override;
-    [[nodiscard]] std::string name() const override { return "replay"; }
     [[nodiscard]] core::AttackKind kind() const override {
         return core::AttackKind::kReplay;
     }

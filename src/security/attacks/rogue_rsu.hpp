@@ -38,7 +38,6 @@ public:
     explicit RogueRsuAttack(Params params) : params_(params) {}
 
     void attach(core::Scenario& scenario) override;
-    [[nodiscard]] std::string name() const override { return "rogue-rsu"; }
     [[nodiscard]] core::AttackKind kind() const override {
         // The paper files infrastructure abuse under impersonation
         // (pretending to be a trusted entity).

@@ -38,14 +38,6 @@ public:
     explicit SensorSpoofAttack(Params params) : params_(params) {}
 
     void attach(core::Scenario& scenario) override;
-    [[nodiscard]] std::string name() const override {
-        switch (params_.mode) {
-            case Mode::kJam: return "sensor-jamming";
-            case Mode::kBias: return "sensor-bias";
-            case Mode::kSpoof: break;
-        }
-        return "sensor-spoofing";
-    }
     [[nodiscard]] core::AttackKind kind() const override {
         return core::AttackKind::kSensorSpoofing;
     }

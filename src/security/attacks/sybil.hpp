@@ -32,7 +32,6 @@ public:
     explicit SybilAttack(Params params) : params_(params) {}
 
     void attach(core::Scenario& scenario) override;
-    [[nodiscard]] std::string name() const override { return "sybil"; }
     [[nodiscard]] core::AttackKind kind() const override {
         return core::AttackKind::kSybil;
     }

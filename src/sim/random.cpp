@@ -52,29 +52,6 @@ std::uint64_t Xoshiro256::next() {
     return result;
 }
 
-void Xoshiro256::jump() {
-    static constexpr std::uint64_t kJump[] = {0x180EC6D33CFD0ABAull,
-                                              0xD5A61266F0C9392Cull,
-                                              0xA9582618E03FC9AAull,
-                                              0x39ABDC4529B1661Cull};
-    std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-    for (std::uint64_t jump : kJump) {
-        for (int b = 0; b < 64; ++b) {
-            if (jump & (1ull << b)) {
-                s0 ^= s_[0];
-                s1 ^= s_[1];
-                s2 ^= s_[2];
-                s3 ^= s_[3];
-            }
-            next();
-        }
-    }
-    s_[0] = s0;
-    s_[1] = s1;
-    s_[2] = s2;
-    s_[3] = s3;
-}
-
 std::uint64_t fnv1a(std::string_view s) {
     std::uint64_t h = 0xCBF29CE484222325ull;
     for (unsigned char c : s) {

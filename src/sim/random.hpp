@@ -55,10 +55,6 @@ public:
 
     std::uint64_t next();
 
-    /// Jump function: advances 2^128 steps; used to split non-overlapping
-    /// sub-streams from one generator.
-    void jump();
-
 private:
     std::uint64_t s_[4];
 };

@@ -57,19 +57,6 @@ double TraceSeries::mean_after(SimTime from) const {
     return sum / static_cast<double>(n);
 }
 
-double TraceSeries::rms_after(SimTime from) const {
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < values_.size(); ++i) {
-        if (times_[i] >= from) {
-            sum += values_[i] * values_[i];
-            ++n;
-        }
-    }
-    PLATOON_EXPECTS(n > 0);
-    return std::sqrt(sum / static_cast<double>(n));
-}
-
 double TraceSeries::max_abs_after(SimTime from) const {
     double best = 0.0;
     for (std::size_t i = 0; i < values_.size(); ++i) {
@@ -91,16 +78,6 @@ const TraceSeries* TraceRecorder::find(const std::string& name) const {
         if (s.name() == name) return &s;
     }
     return nullptr;
-}
-
-void TraceRecorder::write_csv(std::ostream& os) const {
-    os << "series,time,value\n";
-    for (const auto& s : series_) {
-        for (std::size_t i = 0; i < s.size(); ++i) {
-            os << s.name() << ',' << s.times()[i] << ',' << s.values()[i]
-               << '\n';
-        }
-    }
 }
 
 }  // namespace platoon::sim

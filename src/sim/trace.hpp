@@ -1,9 +1,7 @@
-// In-memory time-series trace recorder, used by metrics collectors and for
-// CSV export of per-vehicle trajectories.
+// In-memory time-series trace recorder, used by metrics collectors.
 #pragma once
 
 #include <cstddef>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -37,8 +35,6 @@ public:
     [[nodiscard]] double last() const;
     /// Mean over samples with time >= from.
     [[nodiscard]] double mean_after(SimTime from) const;
-    /// RMS over samples with time >= from.
-    [[nodiscard]] double rms_after(SimTime from) const;
     /// max(|value|) over samples with time >= from.
     [[nodiscard]] double max_abs_after(SimTime from) const;
 
@@ -54,9 +50,6 @@ public:
     TraceSeries& series(const std::string& name);
     [[nodiscard]] const TraceSeries* find(const std::string& name) const;
     [[nodiscard]] std::size_t series_count() const { return series_.size(); }
-
-    /// Writes all series as long-format CSV: series,time,value.
-    void write_csv(std::ostream& os) const;
 
 private:
     std::vector<TraceSeries> series_;

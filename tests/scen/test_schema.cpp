@@ -288,6 +288,67 @@ TEST(ScenSchema, ReservedFaultPresetNameNoneIsRejected) {
     EXPECT_NE(error.find("'none' is reserved"), std::string::npos) << error;
 }
 
+TEST(ScenSchema, ReservedFaultPresetNameAllIsRejected) {
+    // A faults axis expands "all" to every preset before it looks a name
+    // up, so a preset called "all" could never be picked on its own.
+    const std::string error = compile_error(R"({
+      "name": "t",
+      "fault_presets": {
+        "all": {"crashes": [{"vehicle_index": 1}]},
+        "drop": {"crashes": [{"vehicle_index": 2}]}
+      },
+      "grids": [{"axes": {"attacks": ["replay"], "faults": ["all"]}}]
+    })");
+    EXPECT_EQ(error, "fault_presets: 'all' is reserved for the every-preset "
+                     "slot");
+}
+
+TEST(ScenSchema, ExplicitNullIsAWrongTypeNotAnAbsentKey) {
+    // An absent size takes the default; an explicit null is a value of the
+    // wrong type, like any other.
+    std::string error;
+    ASSERT_TRUE(compile_text(R"({
+      "name": "t",
+      "overrides": {"platoons": [{"lane": 1}]},
+      "grids": [{"axes": {"attacks": ["replay"]}}]
+    })",
+                             &error))
+        << error;
+    EXPECT_EQ(compile_error(R"({
+      "name": "t",
+      "overrides": {"platoons": [{"size": null}]},
+      "grids": [{"axes": {"attacks": ["replay"]}}]
+    })"),
+              "overrides.platoons[0].size: expected an integer");
+    EXPECT_EQ(compile_error(R"({
+      "name": "t",
+      "title": null,
+      "grids": [{"axes": {"attacks": ["replay"]}}]
+    })"),
+              "title: expected a string");
+}
+
+TEST(ScenSchema, SeveralFaultsReportTheFirstInStructureOrder) {
+    // The top-level overrides bind before any grid, so their fault wins
+    // over one in grid 0's axes.
+    EXPECT_EQ(compile_error(R"({
+      "name": "t",
+      "overrides": {"platoon_size": 1},
+      "grids": [{"axes": {"attacks": ["replai"]}}]
+    })"),
+              "overrides.platoon_size: value 1 out of range [2, 64]");
+    // Within a block, fields come before its cross-field check: the
+    // amplitude axis is a field of stealth, the horizon check is stealth's.
+    EXPECT_EQ(compile_error(R"({
+      "name": "t",
+      "overrides": {"stealth": {"injections": ["gps-spoof"],
+        "start_s": 50.0, "horizon_s": 40.0,
+        "amplitude": {"min": 3.0, "max": 1.0}}},
+      "grids": [{"axes": {"attacks": ["replay"]}}]
+    })"),
+              "overrides.stealth.amplitude: max must be >= min");
+}
+
 TEST(ScenSchema, UnknownProfileListsKnownOnes) {
     const std::string error = compile_error(R"({
       "name": "t",

@@ -25,6 +25,7 @@
 //   scenfuzz [--space FILE] [--ledger FILE] [--budget N] [--seed N]
 //            [--smoke] [--report-json FILE]
 //   scenfuzz --validate FILE...
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -32,6 +33,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -69,6 +71,16 @@ int usage(std::ostream& os, int code) {
           "bit-identically at any PLATOON_JOBS. --validate only compiles\n"
           "the given descriptions and reports diagnostics.\n";
     return code;
+}
+
+/// The whole of `text` as a decimal count; nullopt when it is empty,
+/// signed, has trailing junk or overflows.
+std::optional<std::uint64_t> parse_count(std::string_view text) {
+    std::uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || stop != end) return std::nullopt;
+    return value;
 }
 
 int validate(const std::vector<std::string>& files) {
@@ -130,12 +142,14 @@ int main(int argc, char** argv) {
             report_json_path = v;
         } else if (arg == "--budget") {
             const char* v = next();
-            if (v == nullptr) return usage(std::cerr, 2);
-            budget = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+            const auto n = v == nullptr ? std::nullopt : parse_count(v);
+            if (!n) return usage(std::cerr, 2);
+            budget = static_cast<std::size_t>(*n);
         } else if (arg == "--seed") {
             const char* v = next();
-            if (v == nullptr) return usage(std::cerr, 2);
-            seed = std::strtoull(v, nullptr, 10);
+            const auto n = v == nullptr ? std::nullopt : parse_count(v);
+            if (!n) return usage(std::cerr, 2);
+            seed = *n;
         } else if (arg == "--smoke") {
             budget = 2;
         } else {

@@ -96,7 +96,7 @@ void BM_RunSeeds(benchmark::State& state) {
     spec.duration_s = 20.0;
     const std::size_t seeds = 16;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(core::run_seeds_parallel(spec, seeds, jobs));
+        benchmark::DoNotOptimize(core::run_seeds(spec, seeds, jobs));
     }
     state.counters["sim_s_per_wall_s"] = benchmark::Counter(
         static_cast<double>(state.iterations()) * 20.0 * seeds,

@@ -4,7 +4,7 @@
 // message throughput per tier. The top tier is the acceptance gate for
 // the spatial-index delivery path: a 1024-vehicle corridor must simulate
 // faster than real time (set PLATOON_SCALE_REQUIRE_REALTIME=1 to turn the
-// check into a hard failure, as the scale-regression CI job does).
+// check into a hard failure, as CI's bench-gate job does).
 //
 // Determinism contract: every table on stdout is byte-identical at any
 // PLATOON_JOBS count (per-seed scenarios are independent; folds happen in
@@ -218,7 +218,7 @@ void run_and_print() {
 
     // The acceptance gate: a 1024-vehicle corridor must simulate faster
     // than real time. Advisory by default (laptops under load throttle);
-    // the scale-regression CI job exports PLATOON_SCALE_REQUIRE_REALTIME=1.
+    // CI's bench-gate job exports PLATOON_SCALE_REQUIRE_REALTIME=1.
     const bool realtime = tier64_wall_s < kDuration;
     std::cerr << "bench_scale: 64-platoon tier " << tier64_wall_s
               << " s wall for " << kDuration << " s sim -- "

@@ -17,7 +17,7 @@
 // committed baseline has stealthy_win = 1 for every kind: a regression that
 // lets the static attacker catch back up to the shaped one fails CI.
 // PLATOON_STEALTH_REQUIRE_WIN=1 additionally turns "no kind produced a
-// stealthy win" into exit 3 (the stealth-regression job arms it).
+// stealthy win" into exit 3 (CI's bench-gate job arms it).
 #include <cmath>
 #include <cstdlib>
 #include <iostream>

@@ -1,7 +1,11 @@
 #include "core/experiment.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+
+#include "sim/logging.hpp"
 
 namespace platoon::core {
 
@@ -39,10 +43,16 @@ Aggregate aggregate_runs(const std::vector<MetricMap>& runs) {
 }
 
 unsigned default_jobs() {
-    if (const char* env = std::getenv("PLATOON_JOBS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0) return static_cast<unsigned>(parsed);
-    }
+    const char* env = std::getenv("PLATOON_JOBS");
+    if (env == nullptr) return sim::ThreadPool::hardware_jobs();
+    const char* const end = env + std::strlen(env);
+    unsigned parsed = 0;
+    const auto [stop, error] = std::from_chars(env, end, parsed);
+    if (error == std::errc{} && stop == end && parsed > 0) return parsed;
+    PLATOON_LOG_WARN(
+        "PLATOON_JOBS=\"%s\" is not a positive whole number; using hardware "
+        "concurrency",
+        env);
     return sim::ThreadPool::hardware_jobs();
 }
 
@@ -61,7 +71,7 @@ Aggregate run_seeds(RunSpec spec, std::size_t seeds, unsigned jobs) {
     // output. A replication that throws becomes a RunFailure record instead
     // of aborting the sweep (and the other seeds' results with it).
     const std::vector<CellOutcome<MetricMap>> outcomes =
-        run_grid_protected(std::move(cells), jobs == 0 ? 1 : jobs);
+        run_grid_protected(std::move(cells), jobs);
     std::vector<MetricMap> succeeded;
     succeeded.reserve(outcomes.size());
     std::vector<RunFailure> failures;
@@ -75,10 +85,6 @@ Aggregate run_seeds(RunSpec spec, std::size_t seeds, unsigned jobs) {
     Aggregate agg = aggregate_runs(succeeded);
     agg.failures = std::move(failures);
     return agg;
-}
-
-Aggregate run_seeds_parallel(RunSpec spec, std::size_t seeds, unsigned jobs) {
-    return run_seeds(std::move(spec), seeds, jobs == 0 ? default_jobs() : jobs);
 }
 
 }  // namespace platoon::core

@@ -10,6 +10,7 @@
 // any job count, including the serial jobs=1 path.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <map>
@@ -60,25 +61,23 @@ struct Aggregate {
 [[nodiscard]] Aggregate aggregate_runs(const std::vector<MetricMap>& runs);
 
 /// Number of worker threads to use when a caller passes jobs=0: the
-/// PLATOON_JOBS environment variable if set and positive, else
-/// hardware concurrency. PLATOON_JOBS=1 reproduces the serial path.
+/// PLATOON_JOBS environment variable if it is a whole positive decimal that
+/// fits `unsigned`, else hardware concurrency (any other value is reported
+/// on stderr). PLATOON_JOBS=1 reproduces the serial path.
 [[nodiscard]] unsigned default_jobs();
 
 /// Runs `seeds` independent replications (seed = base_seed + k) on `jobs`
 /// worker threads and aggregates them in seed order, so mean/stddev are
-/// bit-identical regardless of `jobs`. jobs<=1 runs inline on the calling
-/// thread (exactly the historical serial behavior).
+/// bit-identical regardless of `jobs` (jobs=0 -> default_jobs()). jobs==1
+/// runs inline on the calling thread (exactly the historical serial
+/// behavior).
 [[nodiscard]] Aggregate run_seeds(RunSpec spec, std::size_t seeds,
                                   unsigned jobs = 1);
 
-/// Same as run_seeds, but jobs=0 resolves through default_jobs()
-/// (PLATOON_JOBS / hardware concurrency).
-[[nodiscard]] Aggregate run_seeds_parallel(RunSpec spec, std::size_t seeds,
-                                           unsigned jobs = 0);
-
 /// Fans a grid of independent cells out over `jobs` workers and returns the
 /// results *in cell order* (jobs=0 -> default_jobs(); jobs<=1 -> inline, in
-/// order). Cells must be self-contained: each builds, runs, and summarizes
+/// order). The pool never holds more workers than there are cells.
+/// Cells must be self-contained: each builds, runs, and summarizes
 /// its own scenario(s). The bench binaries use this to run whole
 /// (config, attack, defense, seed) grids concurrently while printing
 /// byte-identical tables at any job count.
@@ -92,7 +91,8 @@ template <typename T>
         for (auto& cell : cells) results.push_back(cell());
         return results;
     }
-    sim::ThreadPool pool(jobs);
+    sim::ThreadPool pool(
+        static_cast<unsigned>(std::min<std::size_t>(jobs, cells.size())));
     std::vector<std::future<T>> futures;
     futures.reserve(cells.size());
     for (auto& cell : cells) futures.push_back(pool.submit(std::move(cell)));

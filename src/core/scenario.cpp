@@ -366,14 +366,16 @@ void Scenario::establish_pairwise_keys() {
 
     sim::RandomStream noise(config_.seed, "fka.noise");
     constexpr std::size_t kProbes = 512;
-    constexpr double kProbeSpacing = 0.04;  // ~coherence time: fresh fading
     constexpr double kMeasurementNoiseDb = 0.35;
+    // One probe at the midpoint of each coherence epoch: fresh fading each.
+    const double epoch_s = network_->channel().params().coherence_time_s;
 
     for (std::size_t i = 1; i < vehicles_.size(); ++i) {
         PlatoonVehicle& member = *vehicles_[i];
         std::vector<double> leader_samples(kProbes), member_samples(kProbes);
         for (std::size_t p = 0; p < kProbes; ++p) {
-            const double t = -30.0 + static_cast<double>(p) * kProbeSpacing;
+            const double t =
+                -30.0 + (static_cast<double>(p) + 0.5) * epoch_s;
             const double gain = network_->channel().fading_db(
                 leader.id(), member.id(), t);
             leader_samples[p] = gain + noise.normal(0.0, kMeasurementNoiseDb);

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 
 #include "sim/assert.hpp"
+#include "sim/random.hpp"
 
 namespace platoon::net {
 
@@ -19,61 +21,9 @@ const char* to_string(Band band) {
 
 Channel::Channel(ChannelParams params, std::uint64_t master_seed)
     : params_(params),
-      fading_rng_(master_seed, "channel.fading"),
-      fading_keys_(1024, kEmptySlotKey),
-      fading_states_(1024) {
+      fading_key_(sim::RandomStream(master_seed, "channel.fading").bits()) {
     PLATOON_EXPECTS(params_.coherence_time_s > 0.0);
     PLATOON_EXPECTS(params_.data_rate_bps > 0.0);
-}
-
-namespace {
-
-// NodeId values are 32-bit, so the canonical pair packs losslessly into one
-// u64 (asserted: a wider id would silently merge fading processes).
-std::uint64_t pack_pair(Channel::PairKey key) {
-    PLATOON_EXPECTS(key.lo <= 0xFFFFFFFFull && key.hi <= 0xFFFFFFFFull);
-    return (key.lo << 32) | key.hi;
-}
-
-std::size_t slot_hash(std::uint64_t packed) {
-    std::uint64_t h = packed * 0x9E3779B97F4A7C15ull;
-    h ^= h >> 32;
-    return static_cast<std::size_t>(h);
-}
-
-}  // namespace
-
-Channel::FadingState& Channel::fading_slot(PairKey key) {
-    // Keep the load factor under 1/2 so linear probe runs stay short.
-    if ((fading_count_ + 1) * 2 > fading_keys_.size()) grow_fading();
-    const std::uint64_t packed = pack_pair(key);
-    PLATOON_EXPECTS(packed != kEmptySlotKey);
-    const std::size_t mask = fading_keys_.size() - 1;
-    std::size_t i = slot_hash(packed) & mask;
-    while (fading_keys_[i] != kEmptySlotKey) {
-        if (fading_keys_[i] == packed) return fading_states_[i];
-        i = (i + 1) & mask;
-    }
-    fading_keys_[i] = packed;
-    FadingState& state = fading_states_[i];
-    state.last_t = std::numeric_limits<double>::quiet_NaN();
-    ++fading_count_;
-    return state;
-}
-
-void Channel::grow_fading() {
-    std::vector<std::uint64_t> old_keys = std::move(fading_keys_);
-    std::vector<FadingState> old_states = std::move(fading_states_);
-    fading_keys_.assign(old_keys.size() * 2, kEmptySlotKey);
-    fading_states_.assign(old_states.size() * 2, FadingState{});
-    const std::size_t mask = fading_keys_.size() - 1;
-    for (std::size_t j = 0; j < old_keys.size(); ++j) {
-        if (old_keys[j] == kEmptySlotKey) continue;
-        std::size_t i = slot_hash(old_keys[j]) & mask;
-        while (fading_keys_[i] != kEmptySlotKey) i = (i + 1) & mask;
-        fading_keys_[i] = old_keys[j];
-        fading_states_[i] = old_states[j];
-    }
 }
 
 double Channel::path_loss_db(double distance_m) const {
@@ -88,31 +38,37 @@ Channel::PairKey Channel::pair_key(sim::NodeId a, sim::NodeId b) {
     return PairKey{lo, hi};
 }
 
-double Channel::fading_db(sim::NodeId a, sim::NodeId b, sim::SimTime t) {
-    FadingState& state = fading_slot(pair_key(a, b));
-    if (std::isnan(state.last_t)) {  // freshly inserted: first draw
-        state.value_db = fading_rng_.normal(0.0, params_.fading_stddev_db);
-        state.last_t = t;
-        return state.value_db;
-    }
-    const double dt = t - state.last_t;
-    if (dt <= 0.0) return state.value_db;  // same instant: reciprocal & stable
-    const double rho = std::exp(-dt / params_.coherence_time_s);
-    state.value_db = rho * state.value_db +
-                     std::sqrt(std::max(0.0, 1.0 - rho * rho)) *
-                         fading_rng_.normal(0.0, params_.fading_stddev_db);
-    state.last_t = t;
-    return state.value_db;
+double Channel::fading_db(sim::NodeId a, sim::NodeId b,
+                          sim::SimTime t) const {
+    static_assert(std::numeric_limits<decltype(sim::NodeId::value)>::digits ==
+                      32,
+                  "a link packs both node ids into one 64-bit word");
+    const PairKey pair = pair_key(a, b);
+    const std::uint64_t link = (pair.lo << 32) | pair.hi;
+    const double epoch = std::floor(t / params_.coherence_time_s);
+    // Converting a double outside int64's range is undefined (NaN fails too).
+    PLATOON_EXPECTS(epoch >= -0x1p63 && epoch < 0x1p63);
+    const auto epoch_word =
+        static_cast<std::uint64_t>(static_cast<std::int64_t>(epoch));
+
+    // Box-Muller on two 53-bit uniforms from the two mixer outputs of one
+    // SplitMix64 sequence seeded by (key, link, epoch); u1 is in (0, 1].
+    sim::SplitMix64 words(
+        sim::mix64(sim::mix64(fading_key_ ^ link) ^ epoch_word));
+    const double u1 = static_cast<double>((words.next() >> 11) + 1) * 0x1.0p-53;
+    const double u2 = static_cast<double>(words.next() >> 11) * 0x1.0p-53;
+    return params_.fading_stddev_db * std::sqrt(-2.0 * std::log(u1)) *
+           std::cos(2.0 * std::numbers::pi * u2);
 }
 
 double Channel::gain_db(sim::NodeId a, sim::NodeId b, double distance_m,
-                        sim::SimTime t) {
+                        sim::SimTime t) const {
     return -path_loss_db(distance_m) + fading_db(a, b, t);
 }
 
 double Channel::rx_power_dbm(sim::NodeId from, sim::NodeId to,
                              double distance_m, sim::SimTime t,
-                             double tx_power_dbm) {
+                             double tx_power_dbm) const {
     return tx_power_dbm + gain_db(from, to, distance_m, t);
 }
 

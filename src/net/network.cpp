@@ -20,7 +20,8 @@ obs::Counter g_delivered{"net.delivered"};
 obs::Counter g_dropped_per{"net.dropped.per"};
 obs::Counter g_dropped_mac{"net.dropped.mac"};
 obs::Counter g_dropped_half_duplex{"net.dropped.half_duplex"};
-obs::Counter g_dropped_range{"net.dropped.range"};
+obs::Counter g_dropped_range_window{"net.dropped.range.window"};
+obs::Counter g_dropped_range_far{"net.dropped.range.far"};
 obs::Counter g_dropped_fault{"net.dropped.fault"};
 obs::Counter g_arena_alloc{"net.arena.alloc"};
 obs::Counter g_arena_reuse{"net.arena.reuse"};
@@ -249,10 +250,11 @@ void Network::finish_transmission(std::uint32_t slot, std::uint64_t gen) {
     }
     // Everyone outside the slack-widened window is guaranteed outside
     // max_range_m at its exact position too (spatial_index.hpp), so the far
-    // tail is bulk-counted without sampling positions.
+    // tail is bulk-counted without sampling positions: `.far` is no work
+    // done, `.window` below is a candidate that failed the exact check.
     const std::uint64_t far = total_receivers - receivers.size();
     stats_.dropped_range += far;
-    g_dropped_range.add(far);
+    g_dropped_range_far.add(far);
     std::sort(receivers.begin(), receivers.end());
 
     // Settle receiver-independent signature facts once, before the fan-out,
@@ -273,7 +275,7 @@ void Network::finish_transmission(std::uint32_t slot, std::uint64_t gen) {
         const double dist = std::abs(tx.tx_position - rx_pos);
         if (dist > params_.max_range_m) {
             ++stats_.dropped_range;
-            g_dropped_range.inc();
+            g_dropped_range_window.inc();
             continue;
         }
         if (it->second.transmitting) {

@@ -192,7 +192,7 @@ public:
 
     [[nodiscard]] const NetworkStats& stats() const { return stats_; }
     [[nodiscard]] NetworkStats& mutable_stats() { return stats_; }
-    [[nodiscard]] Channel& channel() { return channel_; }
+    [[nodiscard]] const Channel& channel() const { return channel_; }
     [[nodiscard]] const Params& params() const { return params_; }
     [[nodiscard]] double node_position(sim::NodeId id) const;
 

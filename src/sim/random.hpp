@@ -31,6 +31,15 @@ struct StreamDecl {
 /// `name` extends, or a prefix entry minus its trailing dot.
 [[nodiscard]] bool stream_declared(std::string_view name);
 
+/// SplitMix64's finaliser: a bijective 64-bit mixer. It is also the keyed
+/// hash behind net::Channel's fading, whose draws depend only on their
+/// inputs, never on the order in which they are asked for.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
 /// SplitMix64: used for seeding / stream derivation (public-domain algorithm
 /// by Sebastiano Vigna).
 class SplitMix64 {
@@ -38,10 +47,7 @@ public:
     constexpr explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
 
     constexpr std::uint64_t next() {
-        std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-        return z ^ (z >> 31);
+        return mix64(state_ += 0x9E3779B97F4A7C15ull);
     }
 
 private:

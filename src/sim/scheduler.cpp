@@ -54,9 +54,7 @@ bool Scheduler::pop_next(Entry& out) {
     return false;
 }
 
-bool Scheduler::step() {
-    Entry e;
-    if (!pop_next(e)) return false;
+void Scheduler::dispatch(const Entry& e) {
     PLATOON_ASSERT(e.at >= now_);
     now_ = e.at;
     if (e.period > 0.0) {
@@ -67,6 +65,12 @@ bool Scheduler::step() {
     }
     (*e.action)();
     ++executed_;
+}
+
+bool Scheduler::step() {
+    Entry e;
+    if (!pop_next(e)) return false;
+    dispatch(e);
     g_events_executed.inc();
     return true;
 }
@@ -84,14 +88,7 @@ std::uint64_t Scheduler::run_until(SimTime until) {
             heap_.push(std::move(e));
             break;
         }
-        now_ = e.at;
-        if (e.period > 0.0) {
-            heap_.push(Entry{e.at + e.period, e.seq, e.period, e.action});
-        } else {
-            live_.erase(e.seq);
-        }
-        (*e.action)();
-        ++executed_;
+        dispatch(e);
         ++n;
         if (stop_requested_) {
             g_events_executed.add(n);

@@ -89,6 +89,9 @@ private:
 
     /// Pops the next non-cancelled entry; false if none.
     bool pop_next(Entry& out);
+    /// Runs a popped entry: advances the clock, re-pushes a periodic entry
+    /// (or retires a one-shot's id), runs the action and counts it.
+    void dispatch(const Entry& e);
 
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
     std::unordered_set<std::uint64_t> live_;

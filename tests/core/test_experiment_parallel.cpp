@@ -8,6 +8,8 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <filesystem>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 
@@ -105,7 +107,7 @@ TEST(ExperimentParallel, ZeroSeedsYieldsEmptyAggregateNotNaNs) {
 
 TEST(ExperimentParallel, RunSeedsParallelMatchesSerialRunSeeds) {
     const auto serial = pc::run_seeds(small_spec(), 4, 1);
-    const auto parallel = pc::run_seeds_parallel(small_spec(), 4, 0);
+    const auto parallel = pc::run_seeds(small_spec(), 4, 0);
     expect_bitwise_equal(serial.mean, parallel.mean);
     expect_bitwise_equal(serial.stddev, parallel.stddev);
 }
@@ -212,6 +214,24 @@ TEST(ExperimentParallel, RunGridPreservesCellOrder) {
     }
 }
 
+TEST(ExperimentParallel, RunGridStartsNoMoreWorkersThanCells) {
+    const std::filesystem::path tasks("/proc/self/task");
+    if (!std::filesystem::is_directory(tasks)) {
+        GTEST_SKIP() << "no " << tasks << " to count threads in";
+    }
+    const std::function<std::ptrdiff_t()> count_threads = [tasks] {
+        return std::distance(std::filesystem::directory_iterator(tasks),
+                             std::filesystem::directory_iterator{});
+    };
+    // Relative to the threads alive before the grid: a sanitizer runtime
+    // may run one of its own.
+    const std::ptrdiff_t before = count_threads();
+    std::vector<std::function<std::ptrdiff_t()>> cells(2, count_threads);
+    for (const std::ptrdiff_t threads : pc::run_grid(std::move(cells), 16)) {
+        EXPECT_LE(threads, before + 2);  // one worker per cell
+    }
+}
+
 TEST(ExperimentParallel, EvalGridIndependentOfJobCount) {
     // The bench-facing grid API: two cells (clean + attacked replay),
     // multi-seed, folded means must match serial bit-for-bit, including
@@ -238,8 +258,14 @@ TEST(ExperimentParallel, DefaultJobsHonorsEnvironment) {
     EXPECT_GE(hardware, 1u);
     ASSERT_EQ(setenv("PLATOON_JOBS", "3", 1), 0);
     EXPECT_EQ(pc::default_jobs(), 3u);
-    ASSERT_EQ(setenv("PLATOON_JOBS", "not-a-number", 1), 0);
-    EXPECT_EQ(pc::default_jobs(), platoon::sim::ThreadPool::hardware_jobs());
+    // Only a whole positive decimal that fits `unsigned` counts: trailing
+    // junk, a sign and an overflowing value all fall back.
+    for (const char* bad : {"not-a-number", "3x", "-2", "99999999999"}) {
+        ASSERT_EQ(setenv("PLATOON_JOBS", bad, 1), 0);
+        EXPECT_EQ(pc::default_jobs(),
+                  platoon::sim::ThreadPool::hardware_jobs())
+            << bad;
+    }
     ASSERT_EQ(unsetenv("PLATOON_JOBS"), 0);
     EXPECT_EQ(pc::default_jobs(), platoon::sim::ThreadPool::hardware_jobs());
 }

@@ -1,11 +1,14 @@
 // Message codecs, channel propagation and the network/MAC.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "net/channel.hpp"
 #include "net/message.hpp"
 #include "net/network.hpp"
+#include "obs/counters.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
@@ -128,6 +131,103 @@ TEST(Channel, DistinctPairsDistinctFading) {
     EXPECT_GT(diff / 100.0, 1.0);  // uncorrelated 4 dB processes
 }
 
+TEST(Channel, FadingDependsOnlyOnLinkAndEpoch) {
+    // A random set of (link, t) queries answered in generation order is the
+    // reference. Shuffled, subsetted or interleaved with queries on other
+    // links, every shared query must return the same bits: no value may
+    // depend on which query reached the link first.
+    struct Query {
+        NodeId a, b;
+        double t;
+    };
+    platoon::sim::RandomStream gen(21, "test.channel.queries");
+    std::vector<Query> queries;
+    for (int i = 0; i < 2000; ++i) {
+        const auto a = static_cast<std::uint32_t>(gen.uniform_int(12));
+        const auto b = static_cast<std::uint32_t>(1 + a + gen.uniform_int(11));
+        queries.push_back({NodeId{a}, NodeId{b % 12}, gen.uniform(-30.0, 60.0)});
+    }
+    const auto answer = [](const Query& q, const pn::Channel& channel) {
+        return channel.fading_db(q.a, q.b, q.t);
+    };
+    std::vector<double> reference;
+    {
+        pn::Channel channel({}, 8);
+        for (const Query& q : queries) reference.push_back(answer(q, channel));
+    }
+
+    std::vector<std::size_t> order(queries.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (std::size_t i = order.size() - 1; i > 0; --i) {
+        std::swap(order[i], order[gen.uniform_int(i + 1)]);
+    }
+    pn::Channel shuffled({}, 8);
+    for (const std::size_t i : order) {
+        EXPECT_EQ(answer(queries[i], shuffled), reference[i]) << "query " << i;
+    }
+
+    pn::Channel subset({}, 8);
+    for (std::size_t i = 0; i < queries.size(); i += 3) {
+        EXPECT_EQ(answer(queries[i], subset), reference[i]) << "query " << i;
+    }
+
+    pn::Channel interleaved({}, 8);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        const NodeId other{100 + static_cast<std::uint32_t>(gen.uniform_int(8))};
+        (void)interleaved.fading_db(other, NodeId{200}, gen.uniform(-30.0, 60.0));
+        (void)interleaved.fading_db(queries[i].a, other, queries[i].t);
+        EXPECT_EQ(answer(queries[i], interleaved), reference[i])
+            << "query " << i;
+    }
+}
+
+TEST(Channel, BlockFadingStatistics) {
+    // 200 links x 100 epochs (half of them at negative times, as the
+    // key-agreement probes use): N(0, sigma^2) per draw, independent across
+    // epochs, constant inside one.
+    pn::ChannelParams params;
+    params.fading_stddev_db = 4.0;
+    params.coherence_time_s = 0.05;
+    pn::Channel channel(params, 13);
+    constexpr int kLinks = 200;
+    constexpr int kEpochs = 100;
+    std::vector<double> draws;
+    for (int link = 0; link < kLinks; ++link) {
+        const NodeId a{static_cast<std::uint32_t>(link)};
+        const NodeId b{static_cast<std::uint32_t>(1000 + link)};
+        for (int k = -kEpochs / 2; k < kEpochs / 2; ++k) {
+            const double start = k * params.coherence_time_s;
+            const double value =
+                channel.fading_db(a, b, start + 0.5 * params.coherence_time_s);
+            for (const double offset : {0.1, 0.3, 0.7, 0.9}) {
+                ASSERT_EQ(channel.fading_db(
+                              b, a, start + offset * params.coherence_time_s),
+                          value)
+                    << "link " << link << " epoch " << k;
+            }
+            draws.push_back(value);
+        }
+    }
+    const double n = static_cast<double>(draws.size());
+    double mean = 0.0;
+    for (const double v : draws) mean += v;
+    mean /= n;
+    double var = 0.0, lag = 0.0;
+    for (std::size_t i = 0; i < draws.size(); ++i) {
+        var += (draws[i] - mean) * (draws[i] - mean);
+        // Adjacent epochs of the same link only.
+        if ((i + 1) % kEpochs != 0) {
+            lag += (draws[i] - mean) * (draws[i + 1] - mean);
+        }
+    }
+    const double stddev = std::sqrt(var / n);
+    const double lag_corr = (lag / (n - kLinks)) / (var / n);
+    EXPECT_NEAR(mean, 0.0, 0.1);
+    EXPECT_NEAR(stddev, params.fading_stddev_db,
+                0.03 * params.fading_stddev_db);
+    EXPECT_LT(std::abs(lag_corr), 0.05);
+}
+
 TEST(Channel, PerMonotoneInSinr) {
     pn::Channel channel({}, 5);
     EXPECT_GT(channel.packet_error_rate(-5.0, 300),
@@ -240,6 +340,28 @@ TEST_F(NetFixture, DoesNotDeliverBeyondMaxRange) {
     scheduler.run_until(0.1);
     EXPECT_TRUE(received.empty());
     EXPECT_EQ(network->stats().dropped_range, 1u);
+}
+
+TEST_F(NetFixture, RangeDropsSplitIntoWindowMissesAndTheFarTail) {
+    // Node 2 sits inside the index window (max range plus the slack margin)
+    // but past max_range_m, so it fails the exact check; node 3 lies beyond
+    // the window and is only bulk-counted.
+    params.max_range_m = 300.0;
+    params.spatial_slack_margin_m = 10.0;
+    build();
+    platoon::obs::set_enabled(true);
+    platoon::obs::reset_counters();
+    add_node(NodeId{1}, 0.0);
+    add_node(NodeId{2}, 305.0);
+    add_node(NodeId{3}, 5000.0);
+    network->broadcast(NodeId{1}, beacon_frame(1));
+    scheduler.run_until(0.1);
+    const auto counters = platoon::obs::counter_snapshot();
+    platoon::obs::set_enabled(false);
+    EXPECT_TRUE(received.empty());
+    EXPECT_EQ(counters.at("net.dropped.range.window"), 1u);
+    EXPECT_EQ(counters.at("net.dropped.range.far"), 1u);
+    EXPECT_EQ(network->stats().dropped_range, 2u);
 }
 
 TEST_F(NetFixture, DistantReceiversLoseFrames) {

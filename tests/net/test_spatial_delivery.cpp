@@ -5,12 +5,13 @@
 //
 // The index is allowed to change HOW candidate receivers are found, never
 // WHAT is observable: reception sets, per-frame SINR bits, obs counters and
-// end-to-end scenario metrics must match exactly, because the shared fading
-// RNG makes any divergence in rx_power call order cascade globally. The
-// property test sweeps node densities and seeds with mobile nodes, jammer
-// pseudo-nodes (static and mobile) and a fast adjacent-lane attacker in the
-// mix; the VLC tests cover the optical-chain neighbor query that rides the
-// same sorted snapshot.
+// end-to-end scenario metrics must match exactly. The one exception is how
+// range drops split between the window and the bulk-counted far tail, which
+// is the index's own work; their sum must match. The property test sweeps
+// node densities and seeds with mobile nodes, jammer pseudo-nodes (static
+// and mobile) and a fast adjacent-lane attacker in the mix; the VLC tests
+// cover the optical-chain neighbor query that rides the same sorted
+// snapshot.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -53,6 +54,20 @@ struct RunLog {
 /// The reference: an infinite margin widens every index window to the whole
 /// registry.
 constexpr double kAllNodes = std::numeric_limits<double>::infinity();
+
+/// Counters with the range-drop split folded into its sum: a receiver
+/// outside the window is counted in `.far` without being examined, one
+/// inside it but out of range in `.window`, and the reference's window holds
+/// every node.
+std::map<std::string, std::uint64_t> fold_range_split(
+    std::map<std::string, std::uint64_t> counters) {
+    const std::uint64_t sum = counters.at("net.dropped.range.window") +
+                              counters.at("net.dropped.range.far");
+    counters.erase("net.dropped.range.window");
+    counters.erase("net.dropped.range.far");
+    counters["net.dropped.range"] = sum;
+    return counters;
+}
 
 pn::Frame make_frame(std::uint32_t sender, std::uint64_t seq) {
     pn::Frame f;
@@ -170,7 +185,9 @@ TEST(SpatialDelivery, PropertyBruteForceAndIndexAreByteIdentical) {
                 ASSERT_EQ(reference.receptions[i], index.receptions[i])
                     << "reception " << i << " diverged at nodes=" << nodes
                     << " seed=" << seed;
-            EXPECT_EQ(reference.counters, index.counters)
+            EXPECT_EQ(reference.counters.at("net.dropped.range.far"), 0u);
+            EXPECT_EQ(fold_range_split(reference.counters),
+                      fold_range_split(index.counters))
                 << "obs counters diverged at nodes=" << nodes
                 << " seed=" << seed;
             EXPECT_EQ(reference.stats.sent, index.stats.sent);

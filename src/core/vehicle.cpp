@@ -171,10 +171,8 @@ void PlatoonVehicle::prune_peers(sim::SimTime now) {
     }
     if (predecessor_wire_ && !peers_.contains(*predecessor_wire_))
         predecessor_wire_.reset();
-    if (leader_wire_ && !peers_.contains(*leader_wire_) &&
-        role_ != control::Role::kLeader) {
-        // Keep the hint around briefly; CACC freshness checks handle staleness.
-    }
+    // leader_wire_ is kept when its peer entry ages out: the leader hint
+    // outlives the entry, and CACC freshness checks handle a stale leader.
 }
 
 void PlatoonVehicle::rebuild_peer_index() {
@@ -592,17 +590,14 @@ void PlatoonVehicle::on_frame(const net::Frame& frame,
         if (action != security::HybridComms::Action::kDeliver) return;
     }
 
-    net::Frame copy = frame;
-    process_payload(copy, info);
+    process_payload(frame, info);
 }
 
-void PlatoonVehicle::process_payload(net::Frame& frame,
+void PlatoonVehicle::process_payload(const net::Frame& frame,
                                      const net::RxInfo& info) {
-    // verify_and_open decrypts in place; relaying (SP-VLC chain) must
-    // forward the pristine wire bytes or the tag no longer verifies.
-    const crypto::Envelope original_envelope = frame.envelope;
     const crypto::VerifyResult vr =
         protection_.verify_and_open(frame.envelope, scheduler_.now());
+    const crypto::BytesView payload = protection_.plaintext(frame.envelope);
     counters_.count(vr);
     // Legacy hole, modelled deliberately (rogue-RSU studies): a deployment
     // that does not insist on signed infrastructure lets unauthenticated
@@ -638,23 +633,16 @@ void PlatoonVehicle::process_payload(net::Frame& frame,
 
     switch (frame.type) {
         case net::MsgType::kBeacon: {
-            const auto beacon =
-                net::Beacon::decode(crypto::BytesView(frame.envelope.payload));
+            const auto beacon = net::Beacon::decode(payload);
             if (beacon) {
-                // handle_beacon needs the pristine envelope for the SP-VLC
-                // relay; hand it the frame with the wire bytes restored (the
-                // oracle truth rides along untouched).
-                net::Frame relayable = frame;
-                relayable.envelope = original_envelope;
-                handle_beacon(*beacon, info, relayable);
+                handle_beacon(*beacon, info, frame);
             } else {
                 ++counters_.rejected_malformed;
             }
             break;
         }
         case net::MsgType::kManeuver: {
-            const auto msg = net::ManeuverMsg::decode(
-                crypto::BytesView(frame.envelope.payload));
+            const auto msg = net::ManeuverMsg::decode(payload);
             if (msg) {
                 if (message_observer_) {
                     MessageObservation obs{frame, info, nullptr, &*msg, true};
@@ -667,8 +655,7 @@ void PlatoonVehicle::process_payload(net::Frame& frame,
             break;
         }
         case net::MsgType::kKeyMgmt: {
-            const auto msg = net::KeyMgmtMsg::decode(
-                crypto::BytesView(frame.envelope.payload));
+            const auto msg = net::KeyMgmtMsg::decode(payload);
             if (msg) handle_keymgmt(*msg, frame.envelope);
             break;
         }
@@ -746,11 +733,11 @@ void PlatoonVehicle::handle_beacon(const net::Beacon& beacon,
             (static_cast<std::uint64_t>(envelope.sender) << 32) ^ envelope.seq;
         if (vlc_forwarded_.insert(relay_key).second) {
             if (vlc_forwarded_.size() > 8192) vlc_forwarded_.clear();
-            net::Frame relay;
-            relay.type = net::MsgType::kBeacon;
-            relay.envelope = envelope;
+            // The received frame is pristine (verify_and_open never writes
+            // it), so the relay forwards its wire bytes and its oracle
+            // truth: a relayed forgery stays a forgery.
+            net::Frame relay = frame;
             relay.band = config_.security.secondary_band;
-            relay.truth = frame.truth;  // a relayed forgery stays a forgery
             network_.broadcast(config_.id, std::move(relay));
         }
     }

@@ -235,7 +235,7 @@ public:
     /// vehicle's defense gates (trust, plausibility) accepted it. Exactly
     /// one of `beacon` / `maneuver` is non-null per observation.
     struct MessageObservation {
-        const net::Frame& frame;  ///< Opened envelope + oracle truth.
+        const net::Frame& frame;  ///< As received (wire bytes) + oracle truth.
         const net::RxInfo& rx;
         const net::Beacon* beacon = nullptr;
         const net::ManeuverMsg* maneuver = nullptr;
@@ -283,7 +283,7 @@ private:
     void send_beacon();
     void rotate_pseudonym();
     void on_frame(const net::Frame& frame, const net::RxInfo& info);
-    void process_payload(net::Frame& frame, const net::RxInfo& info);
+    void process_payload(const net::Frame& frame, const net::RxInfo& info);
     void handle_beacon(const net::Beacon& beacon, const net::RxInfo& info,
                        const net::Frame& frame);
     void handle_maneuver(const net::ManeuverMsg& msg);

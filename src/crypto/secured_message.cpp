@@ -315,9 +315,10 @@ Envelope MessageProtection::protect(std::uint32_t sender, BytesView payload,
     return env;
 }
 
-VerifyResult MessageProtection::verify_and_open(Envelope& envelope,
+VerifyResult MessageProtection::verify_and_open(const Envelope& envelope,
                                                 sim::SimTime now) {
     const obs::ScopedTimer timer("crypto.verify");
+    plaintext_.clear();
     CacheProbe probe;
     const VerifyResult result = verify_and_open_impl(envelope, now, probe);
     if (result == VerifyResult::kOk) {
@@ -332,7 +333,7 @@ VerifyResult MessageProtection::verify_and_open(Envelope& envelope,
     return result;
 }
 
-VerifyResult MessageProtection::verify_and_open_impl(Envelope& envelope,
+VerifyResult MessageProtection::verify_and_open_impl(const Envelope& envelope,
                                                      sim::SimTime now,
                                                      CacheProbe& probe) {
     if (config_.mode == AuthMode::kNone && cache_ != nullptr) {
@@ -456,12 +457,12 @@ VerifyResult MessageProtection::verify_and_open_impl(Envelope& envelope,
 
     if (envelope.encrypted) {
         // Never cached: decryption outcome depends on this receiver's key
-        // material, and the payload mutation must happen per copy.
+        // material. The wire bytes stay untouched (relays forward them).
         if (encryption_key_.empty()) return VerifyResult::kNoKey;
         ChaCha20 cipher(BytesView(encryption_key_),
                         BytesView(nonce_for(envelope.sender, envelope.seq)));
-        cipher.apply(envelope.payload);
-        envelope.encrypted = false;
+        plaintext_.assign(envelope.payload.begin(), envelope.payload.end());
+        cipher.apply(plaintext_);
     }
     return VerifyResult::kOk;
 }

@@ -137,9 +137,19 @@ public:
                      std::optional<std::uint32_t> receiver = std::nullopt);
 
     /// --- receiving --------------------------------------------------------
-    /// Verifies and (when encrypted) decrypts in place. On kOk,
-    /// envelope.payload holds the plaintext.
-    VerifyResult verify_and_open(Envelope& envelope, sim::SimTime now);
+    /// Verifies `envelope` without modifying it. On kOk for an encrypted
+    /// envelope the payload is decrypted into a buffer this context owns;
+    /// read the opened payload through plaintext().
+    VerifyResult verify_and_open(const Envelope& envelope, sim::SimTime now);
+
+    /// The payload of `envelope` as the last verify_and_open left it: that
+    /// call's decryption buffer when the envelope is encrypted (empty unless
+    /// the call returned kOk), else the envelope's own payload. Valid until
+    /// the next verify_and_open.
+    [[nodiscard]] BytesView plaintext(const Envelope& envelope) const {
+        return envelope.encrypted ? BytesView(plaintext_)
+                                  : BytesView(envelope.payload);
+    }
 
     [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
     /// Jumps the outgoing sequence counter (an impersonator must outrun the
@@ -157,8 +167,8 @@ private:
         int hits = 0;
     };
 
-    VerifyResult verify_and_open_impl(Envelope& envelope, sim::SimTime now,
-                                      CacheProbe& probe);
+    VerifyResult verify_and_open_impl(const Envelope& envelope,
+                                      sim::SimTime now, CacheProbe& probe);
     /// The derived MAC key for `peer` under the configured mode (the group
     /// key's in kGroupMac); empty when there is none.
     [[nodiscard]] BytesView mac_key_for(std::uint32_t peer) const;
@@ -189,6 +199,7 @@ private:
     RevocationList crl_;
     ReplayGuard replay_guard_{0.5};
     std::uint64_t next_seq_ = 1;
+    Bytes plaintext_;  ///< Decrypted payload of the last opened envelope.
     VerdictCache* cache_ = nullptr;  ///< Shared, non-owning; may be null.
     mutable SignerKeyMemo own_signer_keys_;  ///< Used while cache_ is null.
 };

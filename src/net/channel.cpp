@@ -19,11 +19,24 @@ const char* to_string(Band band) {
     return "?";
 }
 
+namespace {
+/// E[10^(X/10)] for X ~ N(0, sigma_db^2): the mean linear power factor of
+/// log-normal fading, exp(s^2 / 2) with s = sigma_db ln10 / 10.
+double mean_fading_factor(double sigma_db) {
+    const double s = sigma_db * std::numbers::ln10 / 10.0;
+    return std::exp(0.5 * s * s);
+}
+}  // namespace
+
 Channel::Channel(ChannelParams params, std::uint64_t master_seed)
     : params_(params),
-      fading_key_(sim::RandomStream(master_seed, "channel.fading").bits()) {
+      fading_key_(sim::RandomStream(master_seed, "channel.fading").bits()),
+      mean_power_at_1m_mw_(
+          std::pow(10.0, (params_.tx_power_dbm - params_.ref_loss_db) / 10.0) *
+          mean_fading_factor(params_.fading_stddev_db)) {
     PLATOON_EXPECTS(params_.coherence_time_s > 0.0);
     PLATOON_EXPECTS(params_.data_rate_bps > 0.0);
+    PLATOON_EXPECTS(params_.interference_range_m >= 0.0);
 }
 
 double Channel::path_loss_db(double distance_m) const {

@@ -6,9 +6,12 @@
 // it keeps the SINR model symmetric. Fading is log-normal in dB, one draw per
 // unordered node pair and coherence epoch: a pure function of the channel's
 // key, the link and the epoch, so no value depends on which query came first
-// or on what else was queried.
+// or on what else was queried. Far interferers need no draw at all: their
+// mean power over the fading stands in for it (mean_rx_power_mw).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -31,6 +34,11 @@ struct ChannelParams {
     double noise_floor_dbm = -95.0;
     double fading_stddev_db = 4.0;   ///< Small-scale fading sigma (dB).
     double coherence_time_s = 0.05;  ///< Fading block (epoch) length.
+    /// An interferer within this distance of a receiver adds its exact faded
+    /// power to the SINR; one beyond it adds its mean power over the fading
+    /// (mean_rx_power_mw). +inf makes every term exact. The frame's own
+    /// signal, carrier sense and jammers are always exact.
+    double interference_range_m = 3000.0;
     double carrier_sense_dbm = -85.0;
     double capture_threshold_db = 6.0;  ///< SINR for near-certain reception.
     double per_slope_db = 1.5;          ///< PER sigmoid slope.
@@ -58,6 +66,16 @@ public:
     [[nodiscard]] double rx_power_dbm(sim::NodeId from, sim::NodeId to,
                                       double distance_m, sim::SimTime t,
                                       double tx_power_dbm) const;
+
+    /// Mean received power (mW) over the fading of a transmission at
+    /// params().tx_power_dbm: the path-loss power times E[10^(X/10)] =
+    /// exp((sigma ln10 / 10)^2 / 2) for X ~ N(0, sigma^2) dB, i.e.
+    /// 10^((tx_power_dbm - path_loss_db(d)) / 10) times that factor, in one
+    /// pow. No fading draw.
+    [[nodiscard]] double mean_rx_power_mw(double distance_m) const {
+        const double d = std::max(distance_m, 1.0);
+        return mean_power_at_1m_mw_ * std::pow(d, -params_.path_loss_exponent);
+    }
 
     /// Airtime of a frame of `bytes` at the configured data rate.
     [[nodiscard]] sim::SimTime airtime(std::size_t bytes) const;
@@ -89,6 +107,7 @@ public:
 private:
     ChannelParams params_;
     std::uint64_t fading_key_;
+    double mean_power_at_1m_mw_;  ///< mean_rx_power_mw at the 1 m clamp.
 };
 
 }  // namespace platoon::net

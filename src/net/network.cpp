@@ -23,6 +23,8 @@ obs::Counter g_dropped_half_duplex{"net.dropped.half_duplex"};
 obs::Counter g_dropped_range_window{"net.dropped.range.window"};
 obs::Counter g_dropped_range_far{"net.dropped.range.far"};
 obs::Counter g_dropped_fault{"net.dropped.fault"};
+obs::Counter g_interference_exact{"net.interference.exact"};
+obs::Counter g_interference_mean{"net.interference.mean"};
 obs::Counter g_arena_alloc{"net.arena.alloc"};
 obs::Counter g_arena_reuse{"net.arena.reuse"};
 }  // namespace
@@ -268,6 +270,7 @@ void Network::finish_transmission(std::uint32_t slot, std::uint64_t gen) {
         verify_prewarm_(tx.frame.envelope, batch_rng_);
     }
 
+    InterferenceTally tally;
     for (const sim::NodeId rx : receivers) {
         const auto it = nodes_.find(rx);
         if (it == nodes_.end()) continue;
@@ -295,7 +298,7 @@ void Network::finish_transmission(std::uint32_t slot, std::uint64_t gen) {
             tx.from, rx, dist, tx.start, params_.channel.tx_power_dbm));
         const double interference =
             interference_mw(rx, rx_pos, tx.frame.band, tx.start, tx.end,
-                            slot) +
+                            slot, tally) +
             jammer_power_mw(rx_pos, tx.frame.band, rx, now);
         const double sinr_db =
             mw_to_dbm(signal_mw) - mw_to_dbm(noise_mw + interference);
@@ -311,11 +314,15 @@ void Network::finish_transmission(std::uint32_t slot, std::uint64_t gen) {
         RxInfo info{sinr_db, tx.frame.band, now, tx.from};
         it->second.on_receive(tx.frame, info);
     }
+    g_interference_exact.add(tally.exact);
+    g_interference_mean.add(tally.mean);
 }
 
 double Network::interference_mw(sim::NodeId rx, double rx_pos, Band band,
                                 sim::SimTime start, sim::SimTime end,
-                                std::optional<std::uint32_t> self_slot) {
+                                std::optional<std::uint32_t> self_slot,
+                                InterferenceTally& tally) const {
+    const double range = params_.channel.interference_range_m;
     double total = 0.0;
     for (const std::uint32_t slot : active_slots_) {
         if (self_slot && slot == *self_slot) continue;
@@ -326,9 +333,16 @@ double Network::interference_mw(sim::NodeId rx, double rx_pos, Band band,
             std::min(end, other.end) - std::max(start, other.start);
         if (overlap <= 0.0) continue;
         const double dist = std::abs(other.tx_position - rx_pos);
+        if (dist > range) {
+            // Far field: the term's mean over the fading, no per-link draw.
+            total += channel_.mean_rx_power_mw(dist);
+            ++tally.mean;
+            continue;
+        }
         const double rx_dbm = channel_.rx_power_dbm(
             other.from, rx, dist, other.start, params_.channel.tx_power_dbm);
         total += dbm_to_mw(rx_dbm);
+        ++tally.exact;
     }
     return total;
 }

@@ -4,10 +4,12 @@
 //
 // Everything a frame experiences is modelled per receiver: path loss +
 // fading (Channel), interference from overlapping transmissions in the same
-// band, jammer noise, half-duplex deafness while transmitting, and a
-// PER-vs-SINR reception draw. Jamming "fills the frequencies with random
-// noise" (paper Section V-B) by raising the interference floor — which both
-// corrupts receptions and starves the CSMA medium.
+// band (exact within ChannelParams::interference_range_m of the receiver,
+// mean power beyond it), jammer noise, half-duplex deafness while
+// transmitting, and a PER-vs-SINR reception draw. Jamming "fills the
+// frequencies with random noise" (paper Section V-B) by raising the
+// interference floor — which both corrupts receptions and starves the CSMA
+// medium.
 //
 // Delivery scale: reception candidates and VLC neighbor lookups run through
 // a sorted-by-x SpatialIndex so each fan-out costs O(nodes nearby) instead
@@ -228,11 +230,19 @@ private:
     void finish_transmission(std::uint32_t slot, std::uint64_t gen);
     void deliver_vlc(sim::NodeId from, const Frame& frame);
     [[nodiscard]] bool medium_busy(sim::NodeId at, Band band);
+    /// Interference terms evaluated each way, tallied over one frame's
+    /// fan-out (net.interference.exact / .mean).
+    struct InterferenceTally {
+        std::uint64_t exact = 0;
+        std::uint64_t mean = 0;
+    };
     /// Total interference power (mW) at `rx_pos` for `rx` during [start,end],
-    /// excluding arena slot `self_slot`.
+    /// excluding arena slot `self_slot`: exact faded power from transmitters
+    /// within interference_range_m of `rx_pos`, mean power from the rest.
     double interference_mw(sim::NodeId rx, double rx_pos, Band band,
                            sim::SimTime start, sim::SimTime end,
-                           std::optional<std::uint32_t> self_slot);
+                           std::optional<std::uint32_t> self_slot,
+                           InterferenceTally& tally) const;
     double jammer_power_mw(double rx_pos, Band band, sim::NodeId rx,
                            sim::SimTime t);
     void prune_finished(sim::SimTime now);

@@ -61,16 +61,16 @@ void RsuNode::on_frame(const net::Frame& frame, const net::RxInfo& info) {
                                   : params_.position_m;
     if (std::abs(sender_pos - params_.position_m) > params_.coverage_m) return;
 
-    net::Frame copy = frame;
+    const crypto::Envelope& envelope = frame.envelope;
     const crypto::VerifyResult vr =
-        protection_.verify_and_open(copy.envelope, scheduler_.now());
+        protection_.verify_and_open(envelope, scheduler_.now());
     if (params_.require_signatures && vr != crypto::VerifyResult::kOk) return;
     // Beacons flagged as replayed/stale are *evidence*, not noise: when an
     // impersonator out-sequences its victim, the victim's own (now
     // "replayed-looking") beacons are exactly what exposes the shared
     // identity to the impossible-motion monitor.
     const bool monitorable_beacon =
-        copy.type == net::MsgType::kBeacon &&
+        frame.type == net::MsgType::kBeacon &&
         (vr == crypto::VerifyResult::kReplay ||
          vr == crypto::VerifyResult::kStale);
     const bool acceptable =
@@ -82,29 +82,31 @@ void RsuNode::on_frame(const net::Frame& frame, const net::RxInfo& info) {
         // still use envelope metadata, but payload handling stops here.
         return;
     }
-    if (monitorable_beacon && copy.envelope.encrypted) return;
+    // Replayed and stale verdicts return before decryption, so an
+    // encrypted monitorable beacon has no payload to read.
+    if (monitorable_beacon && envelope.encrypted) return;
 
-    switch (copy.type) {
+    const crypto::BytesView payload = protection_.plaintext(envelope);
+    switch (frame.type) {
         case net::MsgType::kBeacon: {
-            const auto beacon = net::Beacon::decode(
-                crypto::BytesView(copy.envelope.payload));
-            if (beacon) handle_beacon(*beacon, copy.envelope.sender);
+            const auto beacon = net::Beacon::decode(payload);
+            if (beacon) handle_beacon(*beacon, envelope.sender);
             break;
         }
         case net::MsgType::kKeyMgmt: {
-            const auto msg = net::KeyMgmtMsg::decode(
-                crypto::BytesView(copy.envelope.payload));
+            const auto msg = net::KeyMgmtMsg::decode(payload);
             if (!msg) break;
             // Key requests need a certified public key to wrap the reply.
             if (msg->type == net::KeyMgmtType::kKeyRequest) {
-                if (copy.envelope.cert &&
-                    crypto::verify_certificate(*copy.envelope.cert,
+                if (envelope.cert &&
+                    crypto::verify_certificate(*envelope.cert,
                                                authority_.public_key(),
                                                scheduler_.now()) ==
                         crypto::CertCheck::kOk &&
-                    !authority_.crl().is_revoked(copy.envelope.cert->serial)) {
-                    send_group_key(msg->sender,
-                                   crypto::BytesView(copy.envelope.cert->public_key));
+                    !authority_.crl().is_revoked(envelope.cert->serial)) {
+                    send_group_key(
+                        msg->sender,
+                        crypto::BytesView(envelope.cert->public_key));
                 }
             } else {
                 handle_keymgmt(*msg);

@@ -12,6 +12,13 @@ namespace {
 
 pc::Bytes seed(std::uint8_t fill) { return pc::Bytes(32, fill); }
 
+/// The payload `receiver`'s last verify_and_open opened, as owned bytes.
+pc::Bytes opened(const pc::MessageProtection& receiver,
+                 const pc::Envelope& envelope) {
+    const pc::BytesView view = receiver.plaintext(envelope);
+    return pc::Bytes(view.begin(), view.end());
+}
+
 class CertTest : public ::testing::Test {
 protected:
     pc::CertificateAuthority ca_{seed(9)};
@@ -106,7 +113,7 @@ TEST_F(EnvelopeTest, NoneModePassesAnything) {
     auto receiver = make(pc::AuthMode::kNone);
     auto env = sender.protect(1, payload_, 0.0);
     EXPECT_EQ(receiver.verify_and_open(env, 0.0), pc::VerifyResult::kOk);
-    EXPECT_EQ(env.payload, payload_);
+    EXPECT_EQ(opened(receiver, env), payload_);
 }
 
 TEST_F(EnvelopeTest, GroupMacRoundTrip) {
@@ -271,7 +278,7 @@ TEST_F(EnvelopeTest, EncryptionHidesPayloadAndRoundTrips) {
     EXPECT_TRUE(env.encrypted);
     EXPECT_NE(env.payload, payload_);  // ciphertext on the wire
     EXPECT_EQ(receiver.verify_and_open(env, 1.0), pc::VerifyResult::kOk);
-    EXPECT_EQ(env.payload, payload_);
+    EXPECT_EQ(opened(receiver, env), payload_);
 }
 
 TEST_F(EnvelopeTest, EavesdropperWithoutKeyCannotDecrypt) {

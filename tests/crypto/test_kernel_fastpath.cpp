@@ -686,6 +686,13 @@ TEST_F(FactKeyMemoEnvelopes, SwappedCertificateNeverReusesTheSignatureKey) {
 
 // --- 7. derived keys --------------------------------------------------------
 
+/// The payload `receiver`'s last verify_and_open opened, as owned bytes.
+pc::Bytes opened(const pc::MessageProtection& receiver,
+                 const pc::Envelope& envelope) {
+    const pc::BytesView view = receiver.plaintext(envelope);
+    return pc::Bytes(view.begin(), view.end());
+}
+
 pc::MessageProtection group_node(const pc::Bytes& key, bool encrypt) {
     pc::MessageProtection::Config cfg;
     cfg.mode = pc::AuthMode::kGroupMac;
@@ -705,7 +712,7 @@ TEST(DerivedKeys, GroupMacAndEncryptionKeysFollowAReplacedKey) {
     pc::Envelope env = sender.protect(3, pc::BytesView(payload), 1.0);
     pc::Envelope copy = env;
     ASSERT_EQ(receiver.verify_and_open(copy, 1.0), pc::VerifyResult::kOk);
-    EXPECT_EQ(copy.payload, payload);
+    EXPECT_EQ(opened(receiver, copy), payload);
 
     // Only the receiver rekeys: k1 traffic no longer authenticates.
     receiver.set_group_key(k2);
@@ -719,11 +726,11 @@ TEST(DerivedKeys, GroupMacAndEncryptionKeysFollowAReplacedKey) {
     EXPECT_NE(env2.tag, env.tag);
     copy = env2;
     ASSERT_EQ(receiver.verify_and_open(copy, 1.0), pc::VerifyResult::kOk);
-    EXPECT_EQ(copy.payload, payload);
+    EXPECT_EQ(opened(receiver, copy), payload);
     auto fresh = group_node(k2, true);
     copy = env2;
     ASSERT_EQ(fresh.verify_and_open(copy, 1.0), pc::VerifyResult::kOk);
-    EXPECT_EQ(copy.payload, payload);
+    EXPECT_EQ(opened(fresh, copy), payload);
 
     // An empty key removes the group key.
     receiver.set_group_key({});

@@ -35,6 +35,13 @@ namespace {
 
 pc::Bytes seedb(std::uint8_t fill) { return pc::Bytes(32, fill); }
 
+/// The payload `receiver`'s last verify_and_open opened, as owned bytes.
+pc::Bytes opened(const pc::MessageProtection& receiver,
+                 const pc::Envelope& envelope) {
+    const pc::BytesView view = receiver.plaintext(envelope);
+    return pc::Bytes(view.begin(), view.end());
+}
+
 // --- 1. windowed scalar multiplication vs the double-and-add oracle --------
 
 std::vector<pc::U256> edge_scalars() {
@@ -471,8 +478,9 @@ TEST_F(VerifyFastPath, DecryptionHappensPerCopyAndIsNeverCached) {
     for (auto& r : bank) {
         pc::Envelope copy = env;
         EXPECT_EQ(r.verify_and_open(copy, kNow), pc::VerifyResult::kOk);
-        EXPECT_FALSE(copy.encrypted);
-        EXPECT_EQ(copy.payload, plaintext);
+        EXPECT_TRUE(copy.encrypted);  // the wire bytes stay untouched
+        EXPECT_EQ(copy.payload, env.payload);
+        EXPECT_EQ(opened(r, copy), plaintext);
     }
     // An unkeyed receiver fails decryption even though the MAC fact for this
     // envelope is a cache hit by now.

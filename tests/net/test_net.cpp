@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
 #include <set>
 #include <vector>
 
@@ -226,6 +227,53 @@ TEST(Channel, BlockFadingStatistics) {
     EXPECT_NEAR(stddev, params.fading_stddev_db,
                 0.03 * params.fading_stddev_db);
     EXPECT_LT(std::abs(lag_corr), 0.05);
+}
+
+/// E[10^(X/10)] for X ~ N(0, sigma_db^2) dB: the factor by which fading
+/// raises a link's mean linear power.
+double mean_fading_factor(double sigma_db) {
+    const double s = sigma_db * std::numbers::ln10 / 10.0;
+    return std::exp(0.5 * s * s);
+}
+
+TEST(Channel, MeanFadingFactorMatchesTheKeyedDraws) {
+    // The far-field interference term stands in for the average of the
+    // linear fading gain over keyed draws: 500 links x 200 epochs.
+    pn::ChannelParams params;
+    pn::Channel channel(params, 21);
+    constexpr int kLinks = 500;
+    constexpr int kEpochs = 200;
+    double sum = 0.0;
+    for (int link = 0; link < kLinks; ++link) {
+        const NodeId a{static_cast<std::uint32_t>(link)};
+        const NodeId b{static_cast<std::uint32_t>(5000 + link)};
+        for (int k = 0; k < kEpochs; ++k) {
+            const double t = (k + 0.5) * params.coherence_time_s;
+            sum += std::pow(10.0, channel.fading_db(a, b, t) / 10.0);
+        }
+    }
+    const double mean = sum / (kLinks * kEpochs);
+    const double expected = mean_fading_factor(params.fading_stddev_db);
+    EXPECT_NEAR(expected, 1.528, 5e-4);  // sigma = 4 dB
+    EXPECT_NEAR(mean / expected, 1.0, 0.02);
+}
+
+TEST(Channel, MeanRxPowerMatchesTheDbForm) {
+    // One pow on a precomputed gain must stay the dB formula it replaces:
+    // 10^((tx_power_dbm - path_loss_db(d)) / 10) times the fading factor,
+    // at the 1 m clamp, at the default interference range and at the far
+    // end of a 45 km corridor.
+    pn::ChannelParams params;
+    pn::Channel channel(params, 22);
+    const double factor = mean_fading_factor(params.fading_stddev_db);
+    for (const double d : {0.5, 3000.0, 45000.0}) {
+        const double db_form =
+            std::pow(10.0,
+                     (params.tx_power_dbm - channel.path_loss_db(d)) / 10.0) *
+            factor;
+        EXPECT_NEAR(channel.mean_rx_power_mw(d) / db_form, 1.0, 1e-12)
+            << "d = " << d;
+    }
 }
 
 TEST(Channel, PerMonotoneInSinr) {
@@ -552,6 +600,72 @@ TEST_F(NetFixture, FaultLossHookDropsAndCountsDeliveries) {
     scheduler.run_until(2.0);
     EXPECT_EQ(received.size(), 2u);
     EXPECT_EQ(network->stats().dropped_fault, 10u);
+}
+
+/// SINR at node 1 (0 m) of a frame from node 2 (100 m) while node 3 at
+/// `interferer_m` transmits over the same airtime, plus the closed form of
+/// that SINR with the interferer's term computed exactly (faded) and as its
+/// mean. Carrier sense is off so both frames key up at t = 0.
+struct InterferedSinr {
+    double reported = std::nan("");
+    double with_exact_term = 0.0;
+    double with_mean_term = 0.0;
+};
+
+InterferedSinr sinr_under_one_interferer(double interferer_m) {
+    Scheduler scheduler;
+    pn::Network::Params params;
+    params.channel.carrier_sense_dbm = 1000.0;
+    pn::Network network(scheduler, params, 31);
+    InterferedSinr out;
+    int heard = 0;
+    network.register_node(
+        NodeId{1}, [] { return 0.0; },
+        [&](const pn::Frame& frame, const pn::RxInfo& info) {
+            if (frame.envelope.sender != 2) return;
+            out.reported = info.sinr_db;
+            ++heard;
+        });
+    const auto deaf = [](const pn::Frame&, const pn::RxInfo&) {};
+    network.register_node(NodeId{2}, [] { return 100.0; }, deaf);
+    network.register_node(
+        NodeId{3}, [interferer_m] { return interferer_m; }, deaf);
+    for (const std::uint32_t sender : {2u, 3u}) {
+        pn::Frame frame;
+        frame.envelope.sender = sender;
+        frame.envelope.seq = 1;
+        frame.envelope.payload = pn::Beacon{}.encode();
+        network.broadcast(NodeId{sender}, frame);
+    }
+    scheduler.run_until(0.1);
+    EXPECT_EQ(heard, 1);
+
+    const pn::Channel& channel = network.channel();
+    const double tx_dbm = params.channel.tx_power_dbm;
+    const auto mw = [](double dbm) { return std::pow(10.0, dbm / 10.0); };
+    const auto dbm = [](double mw) { return 10.0 * std::log10(mw); };
+    const double signal_mw =
+        mw(channel.rx_power_dbm(NodeId{2}, NodeId{1}, 100.0, 0.0, tx_dbm));
+    const double noise_mw = mw(params.channel.noise_floor_dbm);
+    const double exact_mw = mw(
+        channel.rx_power_dbm(NodeId{3}, NodeId{1}, interferer_m, 0.0, tx_dbm));
+    const double mean_mw = channel.mean_rx_power_mw(interferer_m);
+    out.with_exact_term = dbm(signal_mw) - dbm(noise_mw + exact_mw);
+    out.with_mean_term = dbm(signal_mw) - dbm(noise_mw + mean_mw);
+    return out;
+}
+
+TEST(Interference, BeyondTheRangeAnInterfererAddsItsMeanPower) {
+    ASSERT_EQ(pn::ChannelParams{}.interference_range_m, 3000.0);
+    const InterferedSinr far = sinr_under_one_interferer(5000.0);
+    EXPECT_DOUBLE_EQ(far.reported, far.with_mean_term);
+    EXPECT_NE(far.reported, far.with_exact_term);
+}
+
+TEST(Interference, WithinTheRangeAnInterfererKeepsItsExactFading) {
+    const InterferedSinr near = sinr_under_one_interferer(1000.0);
+    EXPECT_DOUBLE_EQ(near.reported, near.with_exact_term);
+    EXPECT_NE(near.reported, near.with_mean_term);
 }
 
 TEST_F(NetFixture, EavesdropperHearsEverything) {

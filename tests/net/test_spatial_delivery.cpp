@@ -12,16 +12,25 @@
 // and mobile) and a fast adjacent-lane attacker in the mix; the VLC tests
 // cover the optical-chain neighbor query that rides the same sorted
 // snapshot.
+//
+// The far-field interference model is pinned the same way: with
+// interference_range_m = +inf every interference term is exact, and that
+// run must reproduce the exact model's reception log bit for bit; at the
+// default range a highway corridor's PDR must stay within 0.002 of it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
 #include "net/network.hpp"
 #include "obs/counters.hpp"
+#include "scen/schema.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
@@ -266,6 +275,135 @@ TEST_F(VlcFixture, VlcTargetsMatchBruteForceOnRandomScatter) {
         EXPECT_EQ(expect.first, got.first) << "node " << (1 + i);
         EXPECT_EQ(expect.second, got.second) << "node " << (1 + i);
     }
+}
+
+// --- far-field interference -------------------------------------------------
+
+constexpr double kExactInterference = std::numeric_limits<double>::infinity();
+
+/// A seeded multi-platoon highway: 12 platoons of 8 stations 25 m apart,
+/// leaders 2 km apart over 22 km, all moving. Every station beacons at
+/// 10 Hz for 2 s, and slot i of every platoon keys up within 0.1 ms of
+/// slot i everywhere else, so each frame overlaps transmitters from 2 km to
+/// 22 km away (too far for carrier sense to defer to).
+RunLog run_highway(double interference_range_m) {
+    Scheduler scheduler;
+    pn::Network::Params params;
+    params.channel.interference_range_m = interference_range_m;
+    pn::Network network(scheduler, params, 2027);
+
+    RunLog log;
+    obs::set_enabled(true);
+    obs::reset_counters();
+
+    platoon::sim::RandomStream layout(2027, "test.farfield.layout");
+    constexpr std::size_t kPlatoons = 12;
+    constexpr std::size_t kSize = 8;
+    std::uint64_t seq = 0;
+    for (std::size_t p = 0; p < kPlatoons; ++p) {
+        const double speed = (p % 3 == 0) ? 30.0 : 25.0;
+        for (std::size_t i = 0; i < kSize; ++i) {
+            const auto id = static_cast<std::uint32_t>(1 + p * kSize + i);
+            const double start = 2000.0 * static_cast<double>(p) -
+                                 25.0 * static_cast<double>(i) +
+                                 layout.uniform(-2.0, 2.0);
+            network.register_node(
+                NodeId{id},
+                [&scheduler, start, speed] {
+                    return start + speed * scheduler.now();
+                },
+                [&log, id](const pn::Frame& frame, const pn::RxInfo& info) {
+                    log.receptions.push_back(
+                        {id, frame.envelope.sender, frame.envelope.seq,
+                         std::bit_cast<std::uint64_t>(info.sinr_db),
+                         std::bit_cast<std::uint64_t>(info.rx_time)});
+                });
+            const double phase =
+                0.01 * static_cast<double>(i) + layout.uniform(0.0, 1e-4);
+            for (int k = 0; k < 20; ++k)
+                scheduler.schedule_at(phase + 0.1 * k,
+                                      [&network, id, s = ++seq] {
+                                          network.broadcast(NodeId{id},
+                                                            make_frame(id, s));
+                                      });
+        }
+    }
+
+    scheduler.run_until(2.0);
+    log.counters = obs::counter_snapshot();
+    log.stats = network.stats();
+    return log;
+}
+
+/// FNV-1a over each reception's receiver, sender, seq and SINR bits.
+std::uint64_t reception_hash(const std::vector<RxEvent>& receptions) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (word >> (8 * byte)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const RxEvent& e : receptions) {
+        mix(e.receiver);
+        mix(e.sender);
+        mix(e.seq);
+        mix(e.sinr_bits);
+    }
+    return h;
+}
+
+TEST(FarFieldInterference, InfiniteRangeReproducesTheExactModel) {
+    // The golden is the reception log of the same layout under the model
+    // before the far field existed, where every term paid its fading draw.
+    const RunLog exact = run_highway(kExactInterference);
+    EXPECT_EQ(exact.receptions.size(), 13412u);
+    EXPECT_EQ(reception_hash(exact.receptions), 0xfef3e5569176ad14ull)
+        << std::hex << reception_hash(exact.receptions);
+    EXPECT_GT(exact.counters.at("net.interference.exact"), 0u);
+    EXPECT_EQ(exact.counters.at("net.interference.mean"), 0u);
+}
+
+TEST(FarFieldInterference, TheRangeDecidesHowATermIsComputedNotWhich) {
+    // Carrier sense and every PER draw run as before, so both runs send the
+    // same frames at the same times and evaluate the same interference
+    // terms; the default range computes most of them as means.
+    const RunLog exact = run_highway(kExactInterference);
+    const RunLog mixed = run_highway(pn::ChannelParams{}.interference_range_m);
+    const std::uint64_t near = mixed.counters.at("net.interference.exact");
+    const std::uint64_t far = mixed.counters.at("net.interference.mean");
+    EXPECT_GT(near, 0u);
+    EXPECT_GT(far, near);
+    EXPECT_EQ(near + far, exact.counters.at("net.interference.exact"));
+    EXPECT_EQ(mixed.stats.sent, exact.stats.sent);
+}
+
+TEST(FarFieldInterference, SixteenPlatoonCorridorPdrStaysWithinTolerance) {
+    // bench_scale's 16-platoon tier (scale_corridor truncated as it does),
+    // at a 5 s horizon: the mean far field may move its PDR by 0.002 at
+    // most against the all-exact model.
+    std::string error;
+    const auto compiled = platoon::scen::compile_file(
+        std::string(PLATOON_SCENARIO_DIR) + "/scale_corridor.json", &error);
+    ASSERT_TRUE(compiled.has_value()) << error;
+    ASSERT_FALSE(compiled->cells.front().with_attack);
+    pc::ScenarioConfig config = compiled->cells.front().config;
+    ASSERT_GE(config.extra_platoons.size(), 15u);
+    config.extra_platoons.resize(15);
+    std::erase_if(config.corridor, [](const pc::CorridorEvent& event) {
+        return event.platoon >= 16;
+    });
+    const auto pdr = [&config](double interference_range_m) {
+        pc::ScenarioConfig run = config;
+        run.network.channel.interference_range_m = interference_range_m;
+        pc::Scenario scenario(run);
+        scenario.run_until(5.0);
+        return scenario.network().stats().pdr();
+    };
+    const double exact = pdr(kExactInterference);
+    const double mixed = pdr(pn::ChannelParams{}.interference_range_m);
+    EXPECT_LE(std::abs(mixed - exact), 0.002)
+        << "exact " << exact << ", mean far field " << mixed;
 }
 
 // --- end-to-end scenario identity -----------------------------------------

@@ -3,6 +3,8 @@
 // health. These are the assertions behind bench_table2/bench_table3.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/scenario.hpp"
 #include "security/attacks/dos.hpp"
 #include "security/attacks/eavesdrop.hpp"
@@ -190,6 +192,44 @@ TEST(JammingAttack, HybridVlcKeepsPlatoonTogether) {
     const auto defended = run_attacked(config, attack);
     EXPECT_GT(defended.cacc_availability, 0.9);
     EXPECT_LT(defended.spacing_rms_m, 1.5);
+}
+
+TEST(JammingAttack, EncryptedGroupMacRelaysReachTheRearIntact) {
+    // Members relay leader beacons over SP-VLC by forwarding the frame they
+    // received. The group-MAC tag covers the ciphertext, so a relay that
+    // forwarded anything but the pristine wire bytes (the decrypted
+    // envelope, say) would fail every downstream tag check. Under RF
+    // jamming the rear members hear the leader only through such relays.
+    auto config = base_config();
+    config.security.hybrid_comms = true;  // default secondary band: VLC
+    config.security.auth_mode = AuthMode::kGroupMac;
+    config.security.encrypt_payloads = true;
+    pc::Scenario scenario(config);
+    ps::JammingAttack attack;
+    attack.attach(scenario);
+
+    const std::uint32_t leader_wire = scenario.vehicle(0).wire_id();
+    const NodeId leader_node = scenario.vehicle(0).id();
+    std::vector<std::uint64_t> relayed(config.platoon_size, 0);
+    for (std::size_t i = 2; i < config.platoon_size; ++i) {
+        scenario.vehicle(i).set_message_observer(
+            [&relayed, i, leader_wire, leader_node](
+                const pc::PlatoonVehicle&,
+                const pc::PlatoonVehicle::MessageObservation& obs) {
+                if (obs.beacon != nullptr && obs.accepted &&
+                    obs.rx.band == platoon::net::Band::kVlc &&
+                    obs.frame.envelope.sender == leader_wire &&
+                    obs.rx.physical_sender != leader_node)
+                    ++relayed[i];
+            });
+    }
+    scenario.run_until(40.0);
+
+    for (std::size_t i = 2; i < config.platoon_size; ++i)
+        EXPECT_GT(relayed[i], 0u) << "member " << i;
+    for (std::size_t i = 0; i < scenario.vehicle_count(); ++i)
+        EXPECT_EQ(scenario.vehicle(i).counters().rejected_bad_tag, 0u)
+            << "vehicle " << i;
 }
 
 // --- Eavesdropping --------------------------------------------------------------
